@@ -11,7 +11,10 @@ Two independent constructions of the same window are provided on purpose:
 `triple_via_cf` reads the neighbors straight off the continued fraction
 expansion of the center.  Their agreement with each other and with the
 oracle is the core correctness argument, exercised by `verify_properties`
-and the `farey verify` command.
+and the `farey verify` command.  Neighbor queries (`right_neighbor`,
+`left_neighbor`) take their base neighbor from a modular inverse instead,
+the unique solution of the Farey determinant identity; `farey verify`
+checks them against enumeration beside both constructions.
 """
 
 from .cf import (

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .fraction import Fraction
-from .triples import FareyTriple, ReductionChain, reduction_chain
+from .triples import FareyTriple, ReductionChain, _chain_of
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,20 @@ def triple_via_cf(center: Fraction) -> FareyTriple:
     [0, q1, ..., qk] and [0, q1, ..., qk, T - 1]; an even k puts the first
     of these on the left, an odd k on the right.  The T - 1 form may end in
     a 1 (whenever T == 2) and is evaluated as-is.
+
+    One pass of the convergent recurrence over the quotients gives p_k/q_k
+    (the truncated form) and p_(k-1)/q_(k-1); the lowered form is the next
+    convergent, ((T-1)*p_k + p_(k-1)) / ((T-1)*q_k + q_(k-1)).  Consecutive
+    convergents are coprime, so neither value needs reducing.
     """
-    chain = reduction_chain(center)
-    prefix = (0,) + chain.quotients
-    truncated = cf_evaluate(ContinuedFraction(prefix))
-    lowered = cf_evaluate(ContinuedFraction(prefix + (chain.terminal - 1,)))
-    if len(chain.quotients) % 2 == 0:
+    quotients, terminal = _chain_of(center)
+    p_prev, p, q_prev, q = 1, 0, 0, 1
+    for c in quotients:
+        p_prev, p, q_prev, q = p, c * p + p_prev, q, c * q + q_prev
+    truncated = Fraction._from_coprime(p, q)
+    t = terminal - 1
+    lowered = Fraction._from_coprime(t * p + p_prev, t * q + q_prev)
+    if len(quotients) % 2 == 0:
         left, right = truncated, lowered
     else:
         left, right = lowered, truncated

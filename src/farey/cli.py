@@ -23,10 +23,7 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from random import Random
 from time import perf_counter_ns
 
 from .cf import cf_expand, triple_via_cf
@@ -34,7 +31,7 @@ from .errors import CapExceededError, DomainError
 from .fraction import Fraction
 from .neighbors import NeighborResult, left_neighbor, right_neighbor
 from .oracle import DEFAULT_CAP, enumerate_farey, triple_by_scan, verify_properties
-from .triples import FareyTriple, reduction_chain, triple
+from .triples import FareyTriple, check_center, reduction_chain, triple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,19 +51,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_count(text: str) -> int:
-    """An integer token: plain digits, underscores, or BASE^EXP (e.g. 10^12)."""
+    """An integer token: plain digits, underscores, or BASE^EXP (e.g. 10^12).
+
+    Values must print as decimal, so anything longer than the interpreter's
+    integer-string limit (sys.get_int_max_str_digits(), 4300 digits by
+    default) is refused.  A power is sized from its exponent before it is
+    computed, so no token can ask for an unbounded allocation.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     token = text.strip().replace("_", "")
+    base_text, caret, exp_text = token.partition("^")
     try:
-        if "^" in token:
-            base_text, _, exp_text = token.partition("^")
-            base, exp = int(base_text), int(exp_text)
-            if base < 0 or exp < 0:
-                raise ValueError
-            value = base**exp
-        else:
-            value = int(token)
+        base = int(base_text)
+        exp = int(exp_text) if caret else 1
     except ValueError:
         raise DomainError(f"cannot parse integer from {text!r}") from None
+    if caret and (base < 0 or exp < 0):
+        raise DomainError(f"cannot parse integer from {text!r}")
+    # For base >= 2, base**exp >= 2**(exp*bits/2), and 2**(4*limit) already
+    # has more than ``limit`` digits.
+    too_long = base > 1 and exp * base.bit_length() > 8 * limit
+    if not too_long:
+        value = base**exp
+        too_long = value.bit_length() > 3 * limit and value >= 10**limit
+    if too_long:
+        raise DomainError(f"integer {text!r} has more than {limit} digits")
     return value
 
 
@@ -129,12 +138,7 @@ def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> Farey
     if method == "chain":
         return triple(n, order)
     if method == "cf":
-        if order < 2:
-            raise DomainError(f"order must be >= 2, got {order}")
-        if not 1 <= n < order:
-            raise DomainError(f"numerator must satisfy 1 <= n < {order}, got {n}")
-        if math.gcd(n, order) != 1:
-            raise DomainError(f"{n}/{order} not irreducible")
+        check_center(n, order)
         return triple_via_cf(Fraction._from_coprime(n, order))
     return triple_by_scan(n, order, cap)
 
@@ -267,10 +271,12 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     if args.jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {args.jobs}")
     orders = range(2, args.max_order + 1)
+    # More workers than CPUs or orders would only add processes.
+    jobs = min(args.jobs, os.cpu_count() or 1, len(orders))
     checked = 0
     triples_checked = 0
     failure = None
-    if args.jobs == 1:
+    if jobs == 1:
         for order in orders:
             _, centers, message = _verify_order(order, cap)
             checked += 1
@@ -279,7 +285,9 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> int:
                 failure = message
                 break
     else:
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
         try:
             futures = [pool.submit(_verify_order, order, cap) for order in orders]
             for future in futures:
@@ -319,6 +327,8 @@ def _time_ns(fn) -> int:
 
 
 def _timing_summary(times: list[int]) -> dict:
+    import statistics
+
     return {
         "min_ns": min(times),
         "median_ns": statistics.median_low(times),
@@ -342,6 +352,8 @@ def _estimated_terms(order: int) -> int:
 
 
 def _bench_order(order: int, reps: int, cap: int) -> dict:
+    from random import Random
+
     rng = Random(f"bench:{order}")
     queries = []
     while len(queries) < reps:

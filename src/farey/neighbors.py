@@ -1,22 +1,30 @@
 """Successor and predecessor queries in F_N without enumerating F_N.
 
 The term immediately after a/b in F_N is found in two moves.  First locate
-the term after a/b in the smallest sequence containing it, F_b; that base
-neighbor a0/b0 falls out of the continued-fraction triple construction.
-Then slide the base along the mediant ladder: with l = (N - b0) // b, the
-answer is a0/b0 itself when l = 0 and (l*a + a0)/(l*b + b0) otherwise.
-Each rung raises the denominator by b, so the result is the unique ladder
-element whose denominator fits under N while the next rung would not.
+the term after a/b in the smallest sequence containing it, F_b.  That base
+neighbor c/d is the unique fraction with cross determinant b*c - a*d = 1
+and 0 < d < b (Hardy & Wright, ch. III: consecutive Farey terms satisfy
+bc - ad = 1, and a second solution would differ by a multiple of (a, b),
+pushing d out of range).  Reading the determinant modulo b gives
+a*d = -1 (mod b), so d = b - a^(-1) mod b and c = (1 + a*d) / b: one
+modular inverse, ``pow(a, -1, b)``.
+
+Then slide the base along the mediant ladder: with l = (N - d) // b, the
+answer is (l*a + c)/(l*b + d).  Each rung raises the denominator by b, so
+the result is the unique ladder element whose denominator fits under N
+while the next rung would not.
 
 Predecessors reuse the same machinery through the reflection x -> 1 - x,
-which maps F_N onto itself in reverse order.
+which maps F_N onto itself in reverse order.  The quotient-chain and
+continued-fraction triples (``triple``, ``triple_via_cf``) give the same
+base neighbor as their right term; ``farey verify`` checks all three
+against enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cf import triple_via_cf
 from .errors import DomainError
 from .fraction import Fraction, cross_det
 
@@ -54,6 +62,31 @@ class NeighborResult:
             )
 
 
+def _base_successor(a: int, b: int) -> tuple[int, int]:
+    """(c, d): the term after a/b in F_b, for reduced 0 <= a < b."""
+    if a == 0:
+        return 1, 1
+    d = b - pow(a, -1, b)
+    return (1 + a * d) // b, d
+
+
+def _successor(a: int, b: int, order: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(steps, base, neighbor) for the term after a/b in F_order, with base
+    and neighbor as (num, den) pairs; needs 0 <= a < b <= order.
+
+    Both pairs are reduced: each has cross determinant 1 with a/b, so any
+    common divisor divides 1.
+    """
+    c, d = _base_successor(a, b)
+    steps = (order - d) // b
+    return steps, (c, d), (steps * a + c, steps * b + d)
+
+
+def _check_member(x: Fraction, order: int) -> None:
+    if order < x.den:
+        raise DomainError(f"{x} is not a member of the sequence of order {order}")
+
+
 def base_right_neighbor(x: Fraction) -> Fraction:
     """The term immediately after x in F_(x.den), the first sequence holding x.
 
@@ -62,30 +95,22 @@ def base_right_neighbor(x: Fraction) -> Fraction:
     """
     if x.num == x.den:
         raise DomainError("1/1 is the last term of every sequence")
-    if x.num == 0:
-        return Fraction._from_coprime(1, 1)
-    return triple_via_cf(x).right
+    return Fraction._from_coprime(*_base_successor(x.num, x.den))
 
 
 def right_neighbor(x: Fraction, order: int) -> NeighborResult:
     """The term immediately after x in F_order, for any order >= x.den."""
     if x.num == x.den:
         raise DomainError("1/1 is the last term of every sequence")
-    if order < x.den:
-        raise DomainError(
-            f"{x} is not a member of the sequence of order {order}"
-        )
-    base = base_right_neighbor(x)
-    steps = (order - base.den) // x.den
-    if steps == 0:
-        neighbor = base
-    else:
-        # Coprime: any common divisor would divide the cross determinant
-        # of x and base, which is 1.
-        neighbor = Fraction._from_coprime(
-            steps * x.num + base.num, steps * x.den + base.den
-        )
-    return NeighborResult(query=x, order=order, neighbor=neighbor, steps=steps, base=base)
+    _check_member(x, order)
+    steps, base, neighbor = _successor(x.num, x.den, order)
+    return NeighborResult(
+        query=x,
+        order=order,
+        neighbor=Fraction._from_coprime(*neighbor),
+        steps=steps,
+        base=Fraction._from_coprime(*base),
+    )
 
 
 def left_neighbor(x: Fraction, order: int) -> NeighborResult:
@@ -96,11 +121,12 @@ def left_neighbor(x: Fraction, order: int) -> NeighborResult:
     """
     if x.num == 0:
         raise DomainError("0/1 is the first term of every sequence")
-    mirrored = right_neighbor(x.complement(), order)
+    _check_member(x, order)
+    steps, (c, d), (e, f) = _successor(x.den - x.num, x.den, order)
     return NeighborResult(
         query=x,
         order=order,
-        neighbor=mirrored.neighbor.complement(),
-        steps=mirrored.steps,
-        base=mirrored.base.complement(),
+        neighbor=Fraction._from_coprime(f - e, f),
+        steps=steps,
+        base=Fraction._from_coprime(d - c, d),
     )

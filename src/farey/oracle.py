@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .errors import CapExceededError, DomainError
 from .fraction import Fraction, cross_det, mediant
-from .triples import FareyTriple
+from .triples import FareyTriple, check_center
 
 DEFAULT_CAP = 10_000_000
 
@@ -146,12 +145,7 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
 def scan_triple(seq: FareySequence, n: int) -> FareyTriple:
     """Read the triple around n/order directly out of an enumerated sequence."""
     order = seq.order
-    if order < 2:
-        raise DomainError(f"order must be >= 2, got {order}")
-    if not 1 <= n < order:
-        raise DomainError(f"numerator must satisfy 1 <= n < {order}, got {n}")
-    if gcd(n, order) != 1:
-        raise DomainError(f"{n}/{order} not irreducible")
+    check_center(n, order)
     target = Fraction._from_coprime(n, order)
     i = bisect_left(seq.terms, target)
     if i >= len(seq.terms) or seq.terms[i] != target:

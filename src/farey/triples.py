@@ -13,6 +13,14 @@ centered on n/N are constructed in O(log N) exact integer steps:
 Each lift step maps a valid triple of F_b2 (b2 the center's denominator)
 to a valid triple of F_(q*b2 + a2), so validity is preserved all the way
 up and the final center is exactly the requested n/N.
+
+``triple`` runs steps 1-3, and ``lift_chain`` steps 2-3, on plain ints
+and builds one validated ``FareyTriple`` at the end.  That single check
+certifies the whole answer: two unimodular pairs around n/N with outer
+denominators below N single out the neighbors of n/N in F_N, so nothing is
+lost by skipping the intermediate triples.  ``lift_step`` and
+``base_triple`` remain the one-step, validated form of the same
+construction.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .fraction import Fraction, cross_det, mediant
+from .fraction import Fraction, cross_det
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,49 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
     )
 
 
+def check_center(n: int, order: int) -> None:
+    """Require n/order to be a valid triple center: order >= 2,
+    1 <= n < order and gcd(n, order) == 1."""
+    if order < 2:
+        raise DomainError(f"order must be >= 2, got {order}")
+    if not 1 <= n < order:
+        raise DomainError(f"numerator must satisfy 1 <= n < {order}, got {n}")
+    if gcd(n, order) != 1:
+        raise DomainError(f"{n}/{order} not irreducible")
+
+
+def _euclid(n: int, order: int) -> tuple[list[int], int]:
+    """(quotients, terminal) of the steps n/order -> (order mod n)/n that
+    end at numerator 1; needs gcd(n, order) == 1 and n >= 1."""
+    quotients = []
+    while n > 1:
+        q = order // n
+        quotients.append(q)
+        n, order = order - q * n, n
+    return quotients, order
+
+
+def _chain_of(center: Fraction) -> tuple[list[int], int]:
+    """_euclid on a center, which must lie strictly between 0 and 1."""
+    if center.num == 0 or center.num == center.den:
+        raise DomainError(f"center must satisfy 0 < {center} < 1")
+    return _euclid(center.num, center.den)
+
+
+def _lift(quotients: list[int] | tuple[int, ...], terminal: int) -> tuple[int, int, int, int]:
+    """Outer terms a/b, c/d of the triple reached by lifting the base
+    triple of F_terminal through ``quotients`` (last first).
+
+    The lift is linear on (num, den) pairs and the base center 1/T is the
+    mediant of 0/1 and 1/(T-1), so every lifted center is the mediant
+    (a + c)/(b + d) of its outer terms and only those need carrying.
+    """
+    a, b, c, d = 0, 1, 1, terminal - 1
+    for q in reversed(quotients):
+        a, b, c, d = d, q * d + c, b, q * b + a
+    return a, b, c, d
+
+
 def reduction_chain(center: Fraction) -> ReductionChain:
     """Record the quotient steps that take center = n/N down to 1/terminal.
 
@@ -126,15 +177,8 @@ def reduction_chain(center: Fraction) -> ReductionChain:
     gcd stays 1 throughout, the numerator must eventually hit 1; the
     denominator at that moment is the terminal order.
     """
-    if center.num == 0 or center.num == center.den:
-        raise DomainError(f"center must satisfy 0 < {center} < 1")
-    n, order = center.num, center.den
-    quotients = []
-    while n > 1:
-        q = order // n
-        quotients.append(q)
-        n, order = order - q * n, n
-    return ReductionChain(tuple(quotients), order, center)
+    quotients, terminal = _chain_of(center)
+    return ReductionChain(tuple(quotients), terminal, center)
 
 
 def base_triple(order: int) -> FareyTriple:
@@ -161,10 +205,15 @@ def lift_chain(chain: ReductionChain) -> FareyTriple:
     determined by the parity of the chain length; no separate parity branch
     is needed.
     """
-    t = base_triple(chain.terminal)
-    for q in reversed(chain.quotients):
-        t = lift_step(t, q)
-    return t
+    a, b, c, d = _lift(chain.quotients, chain.terminal)
+    # Each image b/(q*b + a) of a reduced a/b is reduced, and so is the sum
+    # of a unimodular pair.
+    return FareyTriple(
+        left=Fraction._from_coprime(a, b),
+        center=Fraction._from_coprime(a + c, b + d),
+        right=Fraction._from_coprime(c, d),
+        order=b + d,
+    )
 
 
 def triple(n: int, order: int) -> FareyTriple:
@@ -174,10 +223,11 @@ def triple(n: int, order: int) -> FareyTriple:
     the base triple, lift.  Agrees with reading the neighbors out of the
     enumerated sequence for every valid input.
     """
-    if order < 2:
-        raise DomainError(f"order must be >= 2, got {order}")
-    if not 1 <= n < order:
-        raise DomainError(f"numerator must satisfy 1 <= n < {order}, got {n}")
-    if gcd(n, order) != 1:
-        raise DomainError(f"{n}/{order} not irreducible")
-    return lift_chain(reduction_chain(Fraction._from_coprime(n, order)))
+    check_center(n, order)
+    a, b, c, d = _lift(*_euclid(n, order))
+    return FareyTriple(
+        left=Fraction._from_coprime(a, b),
+        center=Fraction._from_coprime(n, order),
+        right=Fraction._from_coprime(c, d),
+        order=order,
+    )

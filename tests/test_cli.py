@@ -7,11 +7,13 @@ console script, which setuptools builds from this checkout's
 runs against ``src/`` on ``PYTHONPATH``.
 """
 
+import concurrent.futures
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 from random import Random
@@ -30,6 +32,10 @@ GOLDEN_LISTS = {
     4: "0/1 1/4 1/3 1/2 2/3 3/4 1/1",
     5: "0/1 1/5 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 1/1",
 }
+
+
+# The longest integer the interpreter prints; the CLI refuses longer ones.
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def run_cli(capsys, *argv):
@@ -372,6 +378,55 @@ class TestExitCodesAndCap:
 
     def test_exponent_notation_for_cap(self, capsys):
         assert run_cli(capsys, "--cap", "10^2", "list", "9")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv", [("triple", "1", "10^5000"), ("next", "1/3", "10^5000")]
+    )
+    def test_integers_past_the_print_limit_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"more than {DIGIT_LIMIT} digits" in err
+
+    def test_huge_power_is_refused_before_it_is_built(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "triple", "1", "2^1000000000000")
+        assert code == 1
+        assert "digits" in err
+        assert time.perf_counter() - start < 5
+
+    def test_integers_at_the_print_limit_are_answered(self, capsys):
+        order = 10 ** (DIGIT_LIMIT - 1)
+        code, out, _ = run_cli(capsys, "triple", "1", f"10^{DIGIT_LIMIT - 1}")
+        assert code == 0
+        assert out == f"0/1 1/{order} 1/{order - 1}\n"
+        code, out, _ = run_cli(capsys, "--json", "next", "1/3", str(order))
+        assert code == 0
+        assert json.loads(out)["order"] == order
+
+    def test_jobs_clamped_to_cpus_and_orders(self, capsys, monkeypatch):
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        huge = "1000000000"
+        for max_order, expected in (("2", []), ("3", [2]), ("40", [2, 4])):
+            _, want, _ = run_cli(capsys, "verify", max_order)
+            code, out, _ = run_cli(capsys, "verify", max_order, "--jobs", huge)
+            assert (code, out) == (0, want)
+            assert workers == expected
 
     def test_json_flag_before_or_after_subcommand(self, capsys):
         _, before, _ = run_cli(capsys, "--json", "triple", "5", "39")

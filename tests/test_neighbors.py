@@ -13,6 +13,8 @@ from farey import (
     enumerate_farey,
     left_neighbor,
     right_neighbor,
+    triple,
+    triple_via_cf,
 )
 from helpers import sweep
 from strats import coprime_pairs
@@ -35,6 +37,14 @@ class TestBaseRightNeighbor:
     def test_is_adjacent_at_own_order(self):
         x = Fraction(9, 25)
         assert are_adjacent(x, base_right_neighbor(x), 25)
+
+    @given(coprime_pairs(max_order=10**40))
+    def test_agrees_with_both_triple_constructions(self, pair):
+        n, order = pair
+        x = Fraction(n, order)
+        t = triple(n, order)
+        assert base_right_neighbor(x) == t.right == triple_via_cf(x).right
+        assert left_neighbor(x, order).base == t.left
 
 
 class TestRightNeighbor:
@@ -175,6 +185,27 @@ class TestAgainstOracle:
             assert r.base == Fraction(4, 11)
         assert all(len(v) == 1 for v in seen.values())
         assert sorted(seen) == list(range(len(seen)))
+
+    def test_every_term_to_sixty(self):
+        # neighbor, base and steps of both queries, for every term of F_2..F_60
+        # at its own order and 7 above, read off enumerated sequences.
+        terms = {m: enumerate_farey(m).terms for m in range(1, 68)}
+        where = {m: {t: i for i, t in enumerate(seq)} for m, seq in terms.items()}
+        for m in range(2, 61):
+            for x in terms[m]:
+                own, at_own = terms[x.den], where[x.den][x]
+                for order in (m, m + 7):
+                    seq, at = terms[order], where[order][x]
+                    if x.num < x.den:
+                        r = right_neighbor(x, order)
+                        base = own[at_own + 1]
+                        assert (r.neighbor, r.base) == (seq[at + 1], base)
+                        assert r.steps * x.den == r.neighbor.den - base.den
+                    if x.num > 0:
+                        l = left_neighbor(x, order)
+                        base = own[at_own - 1]
+                        assert (l.neighbor, l.base) == (seq[at - 1], base)
+                        assert l.steps * x.den == l.neighbor.den - base.den
 
     def test_walk_sweep(self):
         assert sweep().complaints("walk") == []

@@ -19,6 +19,7 @@ from farey import (
     triple,
     triple_by_scan,
 )
+from farey import triples
 from helpers import sweep
 from strats import coprime_pairs, farey_triples
 
@@ -274,6 +275,21 @@ class TestTriple:
 
     def test_oracle_agreement_sweep(self):
         assert sweep().complaints("triple-chain") == []
+
+    def test_swapped_lift_is_caught_at_the_boundary(self, monkeypatch):
+        # The int kernel is unchecked; the one FareyTriple built from its
+        # output must still reject a wrong answer.
+        real = triples._lift
+
+        def swapped(quotients, terminal):
+            a, b, c, d = real(quotients, terminal)
+            return c, d, a, b
+
+        monkeypatch.setattr(triples, "_lift", swapped)
+        with pytest.raises(DomainError):
+            triple(5, 39)
+        with pytest.raises(DomainError):
+            lift_chain(reduction_chain(_f("9/25")))
 
     @given(coprime_pairs(max_order=10**6))
     def test_center_and_shape_at_scale(self, pair):
