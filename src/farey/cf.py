@@ -13,30 +13,29 @@ accepts non-canonical input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .fraction import Fraction
+from .record import Record, _set
 from .triples import FareyTriple, ReductionChain, _chain_of
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Coefficients [n0, n1, ..., nk] with n0 >= 0 and ni >= 1 for i >= 1.
 
     Canonical form is not required; see ``canonical`` and cf_canonicalize.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise DomainError("a continued fraction needs at least one coefficient")
-        if self.coeffs[0] < 0:
-            raise DomainError(f"leading coefficient must be >= 0, got {self.coeffs[0]}")
-        for i, c in enumerate(self.coeffs[1:], start=1):
+        if coeffs[0] < 0:
+            raise DomainError(f"leading coefficient must be >= 0, got {coeffs[0]}")
+        for i, c in enumerate(coeffs[1:], start=1):
             if c < 1:
                 raise DomainError(f"coefficient {c} at position {i} must be >= 1")
+        _set(self, "coeffs", coeffs)
 
     @property
     def canonical(self) -> bool:

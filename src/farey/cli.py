@@ -20,7 +20,6 @@ Enumeration commands refuse to materialize more than a cap's worth of terms:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -50,17 +49,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _digit_limit() -> int:
+    """The most digits an integer token may have: the interpreter's
+    integer-string limit (sys.get_int_max_str_digits(), 4300 by default)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _shown(token: str) -> str:
+    """repr of a token for an error message, cut to its ends when long."""
+    if len(token) > 40:
+        token = f"{token[:16]}...{token[-16:]}"
+    return repr(token)
+
+
+def _check_digits(literal: str, token: str, limit: int) -> None:
+    """Refuse a decimal literal of more than ``limit`` digits, counted
+    before int() sees it, naming ``token`` in the message."""
+    digits = literal.strip().lstrip("+-").replace("_", "")
+    if len(digits) > limit and digits.isdecimal():
+        raise DomainError(f"integer {_shown(token)} has more than {limit} digits")
+
+
 def _parse_count(text: str) -> int:
     """An integer token: plain digits, underscores, or BASE^EXP (e.g. 10^12).
 
     Values must print as decimal, so anything longer than the interpreter's
-    integer-string limit (sys.get_int_max_str_digits(), 4300 digits by
-    default) is refused.  A power is sized from its exponent before it is
-    computed, so no token can ask for an unbounded allocation.
+    integer-string limit (see _digit_limit) is refused, literal or power
+    alike.  A power is sized from its exponent before it is computed, so no
+    token can ask for an unbounded allocation.
     """
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _digit_limit()
     token = text.strip().replace("_", "")
     base_text, caret, exp_text = token.partition("^")
+    _check_digits(base_text, text, limit)
+    _check_digits(exp_text, text, limit)
     try:
         base = int(base_text)
         exp = int(exp_text) if caret else 1
@@ -75,7 +97,7 @@ def _parse_count(text: str) -> int:
         value = base**exp
         too_long = value.bit_length() > 3 * limit and value >= 10**limit
     if too_long:
-        raise DomainError(f"integer {text!r} has more than {limit} digits")
+        raise DomainError(f"integer {_shown(text)} has more than {limit} digits")
     return value
 
 
@@ -95,6 +117,9 @@ def _cap_token(text: str) -> int:
 
 def _fraction_token(text: str) -> Fraction:
     try:
+        limit = _digit_limit()
+        for literal in text.split("/"):
+            _check_digits(literal, literal, limit)
         return Fraction.parse(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -116,6 +141,8 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 
 def _print_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
@@ -265,40 +292,55 @@ def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
     return order, centers, None
 
 
+def _verify_results(orders: range, cap: int, jobs: int):
+    """Yield _verify_order for each order, in order.
+
+    With jobs > 1 a process pool does the work, holding at most 2 * jobs
+    orders in flight: submitting every order up front would queue an
+    unbounded number of tasks for a huge max order.
+    """
+    if jobs == 1:
+        for order in orders:
+            yield _verify_order(order, cap)
+        return
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        pending = deque()
+        for order in orders:
+            pending.append(pool.submit(_verify_order, order, cap))
+            if len(pending) == 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     if args.max_order < 2:
         raise DomainError(f"max order must be >= 2, got {args.max_order}")
     if args.jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {args.jobs}")
     orders = range(2, args.max_order + 1)
-    # More workers than CPUs or orders would only add processes.
-    jobs = min(args.jobs, os.cpu_count() or 1, len(orders))
+    # More workers than CPUs or orders would only add processes.  (len() of
+    # the range would overflow for a huge max order.)
+    jobs = min(args.jobs, os.cpu_count() or 1, args.max_order - 1)
     checked = 0
     triples_checked = 0
     failure = None
-    if jobs == 1:
-        for order in orders:
-            _, centers, message = _verify_order(order, cap)
+    results = _verify_results(orders, cap, jobs)
+    try:
+        for _, centers, message in results:
             checked += 1
             triples_checked += centers
             if message is not None:
                 failure = message
                 break
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        try:
-            futures = [pool.submit(_verify_order, order, cap) for order in orders]
-            for future in futures:
-                _, centers, message = future.result()
-                checked += 1
-                triples_checked += centers
-                if message is not None:
-                    failure = message
-                    break
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        results.close()
     payload = {
         "max_order": args.max_order,
         "orders": checked,
@@ -320,10 +362,19 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     return EXIT_VERIFY
 
 
-def _time_ns(fn) -> int:
+# The most queries `farey bench` makes per cell.
+MAX_REPS = 10**6
+# Back-to-back calls behind each chain or cf timing sample: a single call of
+# a few microseconds is at the mercy of the timer and the machine.
+_BATCH = 16
+
+
+def _time_ns(fn, calls: int = 1) -> int:
+    """Integer ns per call over ``calls`` back-to-back calls of fn."""
     start = perf_counter_ns()
-    fn()
-    return perf_counter_ns() - start
+    for _ in range(calls):
+        fn()
+    return (perf_counter_ns() - start) // calls
 
 
 def _timing_summary(times: list[int]) -> dict:
@@ -360,9 +411,9 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
         n = rng.randrange(1, order) if order > 2 else 1
         if math.gcd(n, order) == 1:
             queries.append(n)
-    chain_times = [_time_ns(lambda n=n: triple(n, order)) for n in queries]
+    chain_times = [_time_ns(lambda n=n: triple(n, order), _BATCH) for n in queries]
     cf_times = [
-        _time_ns(lambda n=n: triple_via_cf(Fraction._from_coprime(n, order)))
+        _time_ns(lambda n=n: triple_via_cf(Fraction._from_coprime(n, order)), _BATCH)
         for n in queries
     ]
     lengths = [
@@ -406,6 +457,8 @@ def cmd_bench(args: argparse.Namespace, cap: int) -> int:
             raise DomainError(f"order must be >= 2, got {order}")
     if args.reps < 1:
         raise DomainError(f"reps must be >= 1, got {args.reps}")
+    if args.reps > MAX_REPS:
+        raise DomainError(f"reps must be <= {MAX_REPS:,}, got {_shown(str(args.reps))}")
     rows = [_bench_order(order, args.reps, cap) for order in orders]
     if args.json:
         _print_json({"cap": cap, "reps": args.reps, "rows": rows})
@@ -499,13 +552,23 @@ def build_parser() -> _Parser:
         help="cross-check fast paths against enumeration for all orders up to a bound",
     )
     p.add_argument("max_order", type=_int_token)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs",
+        type=_int_token,
+        default=1,
+        help="worker processes (default 1; at most one per CPU and per order)",
+    )
     _add_common(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="time chain/cf/oracle queries per order")
     p.add_argument("orders", help="comma-separated orders; 10^12 notation allowed")
-    p.add_argument("--reps", type=int, default=25, help="queries per cell (default 25)")
+    p.add_argument(
+        "--reps",
+        type=_int_token,
+        default=25,
+        help=f"queries per cell (default 25, at most {MAX_REPS:,})",
+    )
     _add_common(p)
     p.set_defaults(handler=cmd_bench)
 
@@ -518,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:
+        # --help has printed its text and asked argparse to exit 0.
+        return exc.code
     try:
         cap = _resolve_cap(args)
         return args.handler(args, cap)

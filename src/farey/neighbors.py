@@ -23,14 +23,12 @@ against enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .fraction import Fraction, cross_det
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class NeighborResult:
+class NeighborResult(Record):
     """A resolved successor or predecessor query.
 
     ``neighbor`` sits immediately beside ``query`` in the Farey sequence of
@@ -38,28 +36,27 @@ class NeighborResult:
     the adjacent term in the smallest sequence containing the query.
     """
 
-    query: Fraction
-    order: int
-    neighbor: Fraction
-    steps: int
-    base: Fraction
+    __slots__ = ("query", "order", "neighbor", "steps", "base")
 
-    def __post_init__(self):
-        if self.steps < 0:
-            raise DomainError(f"step count must be >= 0, got {self.steps}")
-        if cross_det(self.query, self.neighbor) not in (1, -1):
+    def __init__(
+        self, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction
+    ):
+        if steps < 0:
+            raise DomainError(f"step count must be >= 0, got {steps}")
+        if cross_det(query, neighbor) not in (1, -1):
+            raise DomainError(f"{query} and {neighbor} are not unimodular")
+        if neighbor.den > order:
+            raise DomainError(f"{neighbor} lies outside a sequence of order {order}")
+        if query.den + neighbor.den <= order:
             raise DomainError(
-                f"{self.query} and {self.neighbor} are not unimodular"
+                f"{query} and {neighbor} are not adjacent at order "
+                f"{order}: a mediant still fits between them"
             )
-        if self.neighbor.den > self.order:
-            raise DomainError(
-                f"{self.neighbor} lies outside a sequence of order {self.order}"
-            )
-        if self.query.den + self.neighbor.den <= self.order:
-            raise DomainError(
-                f"{self.query} and {self.neighbor} are not adjacent at order "
-                f"{self.order}: a mediant still fits between them"
-            )
+        _set(self, "query", query)
+        _set(self, "order", order)
+        _set(self, "neighbor", neighbor)
+        _set(self, "steps", steps)
+        _set(self, "base", base)
 
 
 def _base_successor(a: int, b: int) -> tuple[int, int]:

@@ -9,23 +9,25 @@ which is O(1) per term and provably correct from the mediant property.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import CapExceededError, DomainError
 from .fraction import Fraction, cross_det, mediant
+from .record import Record, _set
 from .triples import FareyTriple, check_center
 
 DEFAULT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class FareySequence:
+class FareySequence(Record):
     """A fully enumerated F_order: every irreducible a/b with b <= order,
     in increasing order from 0/1 to 1/1."""
 
-    order: int
-    terms: tuple[Fraction, ...]
+    __slots__ = ("order", "terms")
+
+    def __init__(self, order: int, terms: tuple[Fraction, ...]):
+        _set(self, "order", order)
+        _set(self, "terms", terms)
 
     def __len__(self):
         return len(self.terms)
@@ -70,20 +72,34 @@ def enumerate_farey(order: int, cap: int | None = DEFAULT_CAP) -> FareySequence:
     return FareySequence(order, tuple(terms))
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(Record):
     """Outcome of checking a sequence against the defining Farey properties.
 
     ``failure`` is None when everything holds; otherwise it names the first
-    violated property and ``index`` locates it in the term list.
+    violated property and ``index`` locates it in the term list.  Unlike the
+    other records, a report is mutable and therefore unhashable.
     """
 
-    ok: bool
-    pairs: int = 0
-    mediants: int = 0
-    centers: int = 0
-    failure: str | None = None
-    index: int | None = None
+    __slots__ = ("ok", "pairs", "mediants", "centers", "failure", "index")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        ok: bool,
+        pairs: int = 0,
+        mediants: int = 0,
+        centers: int = 0,
+        failure: str | None = None,
+        index: int | None = None,
+    ):
+        self.ok = ok
+        self.pairs = pairs
+        self.mediants = mediants
+        self.centers = centers
+        self.failure = failure
+        self.index = index
 
 
 def verify_properties(seq: FareySequence) -> PropertyReport:

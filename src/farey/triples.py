@@ -25,15 +25,14 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
 from .fraction import Fraction, cross_det
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class FareyTriple:
+class FareyTriple(Record):
     """Three consecutive fractions of F_order whose middle term has
     denominator exactly ``order``.
 
@@ -44,47 +43,46 @@ class FareyTriple:
     to sum to the center's.
     """
 
-    left: Fraction
-    center: Fraction
-    right: Fraction
-    order: int
+    __slots__ = ("left", "center", "right", "order")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise DomainError(f"order must be >= 1, got {self.order}")
-        if self.center.den != self.order or self.center.num < 1:
-            raise DomainError(
-                f"center {self.center} is not of the form n/{self.order} with n >= 1"
-            )
-        if cross_det(self.left, self.center) != 1:
-            raise DomainError(f"left pair {self.left}, {self.center} is not unimodular")
-        if cross_det(self.center, self.right) != 1:
-            raise DomainError(f"right pair {self.center}, {self.right} is not unimodular")
-        if self.left.den >= self.order or self.right.den >= self.order:
+    def __init__(self, left: Fraction, center: Fraction, right: Fraction, order: int):
+        if order < 1:
+            raise DomainError(f"order must be >= 1, got {order}")
+        if center.den != order or center.num < 1:
+            raise DomainError(f"center {center} is not of the form n/{order} with n >= 1")
+        if cross_det(left, center) != 1:
+            raise DomainError(f"left pair {left}, {center} is not unimodular")
+        if cross_det(center, right) != 1:
+            raise DomainError(f"right pair {center}, {right} is not unimodular")
+        if left.den >= order or right.den >= order:
             raise DomainError("outer denominators must be smaller than the order")
+        _set(self, "left", left)
+        _set(self, "center", center)
+        _set(self, "right", right)
+        _set(self, "order", order)
 
 
-@dataclass(frozen=True)
-class ReductionChain:
+class ReductionChain(Record):
     """The Euclidean quotient steps that reduce ``start`` to 1/terminal.
 
     ``quotients`` is empty exactly when start already has numerator 1, in
     which case ``terminal`` equals start's denominator.
     """
 
-    quotients: tuple[int, ...]
-    terminal: int
-    start: Fraction
+    __slots__ = ("quotients", "terminal", "start")
 
-    def __post_init__(self):
-        if self.terminal < 2:
-            raise DomainError(f"terminal order must be >= 2, got {self.terminal}")
-        if any(q < 1 for q in self.quotients):
+    def __init__(self, quotients: tuple[int, ...], terminal: int, start: Fraction):
+        if terminal < 2:
+            raise DomainError(f"terminal order must be >= 2, got {terminal}")
+        if any(q < 1 for q in quotients):
             raise DomainError("quotients must be positive")
-        if (len(self.quotients) == 0) != (self.start.num == 1):
+        if (len(quotients) == 0) != (start.num == 1):
             raise DomainError("empty chain is allowed exactly for numerator-1 starts")
-        if not self.quotients and self.terminal != self.start.den:
+        if not quotients and terminal != start.den:
             raise DomainError("empty chain must terminate at the start's denominator")
+        _set(self, "quotients", quotients)
+        _set(self, "terminal", terminal)
+        _set(self, "start", start)
 
 
 def are_adjacent(x: Fraction, y: Fraction, order: int) -> bool:

@@ -8,17 +8,21 @@ runs against ``src/`` on ``PYTHONPATH``.
 """
 
 import concurrent.futures
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import farey.cli as cli
 from farey import Fraction, right_neighbor
@@ -36,6 +40,30 @@ GOLDEN_LISTS = {
 
 # The longest integer the interpreter prints; the CLI refuses longer ones.
 DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each task in process at
+    submit, so no worker process is started, and counts the submissions."""
+
+    submitted = 0
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def submit(self, fn, *args):
+        InlinePool.submitted += 1
+        if InlinePool.submitted > 1000:
+            raise AssertionError("verify queued more than 1000 orders")
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait, cancel_futures):
+        pass
 
 
 def run_cli(capsys, *argv):
@@ -329,6 +357,31 @@ class TestBench:
         assert "1,000,000,000,000" in lines[1]
         assert "skipped" in lines[1]
 
+    @pytest.mark.parametrize("reps", ["1000001", "10^100", f"10^{DIGIT_LIMIT - 1}"])
+    def test_reps_above_the_ceiling_are_refused(self, capsys, monkeypatch, reps):
+        def unreachable(*args):
+            raise AssertionError("bench ran past a refused --reps")
+
+        monkeypatch.setattr(cli, "_bench_order", unreachable)
+        code, out, err = run_cli(capsys, "bench", "5", "--reps", reps)
+        assert code == 1
+        assert out == ""
+        assert "reps must be <= 1,000,000" in err
+        assert len(err) < 200
+
+    def test_reps_at_the_ceiling_are_accepted(self, capsys, monkeypatch):
+        asked = []
+
+        def stub(order, reps, cap):
+            asked.append(reps)
+            return {"order": order}
+
+        monkeypatch.setattr(cli, "_bench_order", stub)
+        code, out, _ = run_cli(capsys, "--json", "bench", "5", "--reps", "10^6")
+        assert code == 0
+        assert asked == [cli.MAX_REPS] == [10**6]
+        assert json.loads(out)["reps"] == 10**6
+
     def test_rejects_bad_orders(self, capsys):
         code, _, err = run_cli(capsys, "bench", "5,x")
         assert code == 1
@@ -388,6 +441,24 @@ class TestExitCodesAndCap:
         assert out == ""
         assert f"more than {DIGIT_LIMIT} digits" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triple", "1", "1" + "0" * DIGIT_LIMIT),
+            ("cf", "1/1" + "0" * DIGIT_LIMIT),
+            ("triple", "1", f"10^{DIGIT_LIMIT + 700}"),
+        ],
+        ids=["literal", "fraction-literal", "power"],
+    )
+    def test_one_message_for_the_digit_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"has more than {DIGIT_LIMIT} digits" in err
+        assert "cannot parse" not in err
+        # The offending token is shortened, not echoed in full.
+        assert len(err) < 200
+
     def test_huge_power_is_refused_before_it_is_built(self, capsys):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "triple", "1", "2^1000000000000")
@@ -428,6 +499,25 @@ class TestExitCodesAndCap:
             assert (code, out) == (0, want)
             assert workers == expected
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_of_a_huge_max_order_stops_at_the_cap(self, capsys, monkeypatch, jobs):
+        # range(2, 10^20 + 1) has no len(), and a pool fed every order at once
+        # would queue without bound; each run must end at the cap instead.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(InlinePool, "submitted", 0)
+        code, out, err = run_cli(capsys, "--cap", "60", "verify", "10^20", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "cap of 60" in err
+        assert InlinePool.submitted < 20
+
+    def test_help_returns_zero(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: farey")
+        assert err == ""
+
     def test_json_flag_before_or_after_subcommand(self, capsys):
         _, before, _ = run_cli(capsys, "--json", "triple", "5", "39")
         _, after, _ = run_cli(capsys, "triple", "5", "39", "--json")
@@ -455,6 +545,83 @@ class TestJsonCanonical:
         line = out.rstrip("\n")
         assert "\n" not in line
         assert canonical(line) == line
+
+
+# Tokens for the exit-code fuzz below.  Every integer the CLI would accept
+# is small, so no example can ask for unbounded work: the big ones are all
+# past the digit limit, malformed, or refused by the --cap every argv starts
+# with (10^12 and 10^100 only ever reach queries that do not enumerate).
+_HUGE = (
+    "10^5000",
+    "1" + "0" * DIGIT_LIMIT,
+    "2^10^12",
+    "2^1000000000000",
+    f"{'9' * DIGIT_LIMIT}^2",
+    f"2^{'1' * (DIGIT_LIMIT + 1)}",
+)
+_MALFORMED = ("", " ", "x", "1.5", "^", "10^", "^3", "-2^3", "1e9", "0x10", "1__0", "½", "--")
+_small_ints = st.integers(min_value=-3, max_value=60).map(str)
+_int_tokens = st.one_of(
+    _small_ints,
+    st.sampled_from(_HUGE + _MALFORMED),
+    st.sampled_from(("10^12", "10^20", "10^100")),
+)
+_cap_tokens = st.one_of(_small_ints, st.sampled_from(_HUGE + _MALFORMED))
+_fraction_tokens = st.one_of(
+    st.builds("{}/{}".format, _int_tokens, _int_tokens),
+    st.sampled_from(("5/39", "9/25", "0/1", "1/1", "1/0", "2/1", "1/2/3", "/", "1/" + "7" * 100)),
+)
+_flags = st.one_of(
+    st.sampled_from((["--json"], ["--help"], ["--bogus"], ["--jobs"], ["--method"])),
+    st.builds(lambda m: ["--method", m], st.sampled_from(("chain", "cf", "oracle", "scan"))),
+    st.builds(lambda f, t: [f, t], st.sampled_from(("--jobs", "--reps")), _int_tokens),
+    st.builds(lambda t: ["--cap", t], _cap_tokens),
+)
+# Positional arguments of each subcommand: i an integer, f a fraction.
+_SHAPES = {
+    "list": "i",
+    "triple": "ii",
+    "next": "fi",
+    "prev": "fi",
+    "cf": "f",
+    "chain": "f",
+    "verify": "i",
+    "bench": "i",
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from((*_SHAPES, "frob", None)))
+    shape = _SHAPES.get(command, "")
+    if draw(st.integers(0, 4)) == 0:  # now and then the wrong arguments
+        shape = draw(st.text("if", max_size=3))
+    args = [draw(_int_tokens if kind == "i" else _fraction_tokens) for kind in shape]
+    flags = draw(st.lists(_flags, max_size=3))
+    return ["--cap", "60", *([command] if command else []), *args, *sum(flags, [])]
+
+
+def test_exit_code_contract_holds_for_random_argv(monkeypatch):
+    """Any argv ends in 0, 1, 2 or 3, never in an exception, and explains
+    itself on stderr whenever it does not succeed."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.delenv("FAREY_CAP", raising=False)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_argv())
+    def check(argv):
+        InlinePool.submitted = 0
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            assert err.getvalue().strip()
+
+    try:
+        check()
+    finally:
+        InlinePool.submitted = 0
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
