@@ -25,7 +25,8 @@ check() {
 }
 
 check "list golden row"        0 "0/1 1/5 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 1/1" farey list 5
-check "triple via chain"       0 "1/8 5/39 4/31"                farey triple 5 39
+check "triple via inverse"     0 "1/8 5/39 4/31"                farey triple 5 39
+check "triple via chain"       0 "1/8 5/39 4/31"                farey triple 5 39 --method chain
 check "triple via cf"          0 "5/14 9/25 4/11"               farey triple 9 25 --method cf
 check "triple via oracle"      0 "5/14 9/25 4/11"               farey triple 9 25 --method oracle
 check "triple json bytes"      0 '{"center":"5/39","left":"1/8","order":39,"right":"4/31"}' farey --json triple 5 39

@@ -6,15 +6,15 @@ answers successor/predecessor queries in F_N for arbitrary N in
 logarithmically many integer operations, and ships a brute-force enumeration
 oracle that cross-checks every fast path.
 
-Two independent constructions of the same window are provided on purpose:
-`triple` climbs back up a quotient chain from a fundamental window, while
-`triple_via_cf` reads the neighbors straight off the continued fraction
-expansion of the center.  Their agreement with each other and with the
-oracle is the core correctness argument, exercised by `verify_properties`
-and the `farey verify` command.  Neighbor queries (`right_neighbor`,
-`left_neighbor`) take their base neighbor from a modular inverse instead,
-the unique solution of the Farey determinant identity; `farey verify`
-checks them against enumeration beside both constructions.
+`triple` and the neighbor queries (`right_neighbor`, `left_neighbor`) take
+their base neighbor from one modular inverse, the unique solution of the
+Farey determinant identity.  The paper's two constructions of the same
+window are kept on purpose as reproductions: `lift_chain` climbs back up a
+quotient chain from a fundamental window, while `triple_via_cf` reads the
+neighbors straight off the continued fraction expansion of the center.
+The agreement of all three with each other and with the oracle is the core
+correctness argument, exercised by `verify_properties` and the
+`farey verify` command.
 """
 
 from .cf import (

@@ -14,7 +14,7 @@ are decimal strings), so parse/re-serialize round-trips are byte-identical.
 
 Enumeration commands refuse to materialize more than a cap's worth of terms:
 --cap wins over the FAREY_CAP environment variable, which wins over the
-10,000,000-term default.
+10,000,000-term default.  Neither may exceed MAX_CAP (100,000,000 terms).
 """
 
 from __future__ import annotations
@@ -30,12 +30,16 @@ from .errors import CapExceededError, DomainError
 from .fraction import Fraction
 from .neighbors import NeighborResult, left_neighbor, right_neighbor
 from .oracle import DEFAULT_CAP, enumerate_farey, triple_by_scan, verify_properties
-from .triples import FareyTriple, check_center, reduction_chain, triple
+from .triples import FareyTriple, _chain_triple, check_center, reduction_chain, triple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+
+# The largest enumeration cap --cap or FAREY_CAP may set: ten times the
+# default, so no single token can ask for billions of terms.
+MAX_CAP = 10 * DEFAULT_CAP
 
 
 class UsageError(Exception):
@@ -108,10 +112,19 @@ def _int_token(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _check_cap(value: int) -> None:
+    if value > MAX_CAP:
+        raise DomainError(f"cap must be <= {MAX_CAP:,}, got {_shown(str(value))}")
+
+
 def _cap_token(text: str) -> int:
     value = _int_token(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"cap must be >= 1, got {value}")
+    try:
+        _check_cap(value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -137,6 +150,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
         value = 0
     if value < 1:
         raise DomainError(f"FAREY_CAP must be a positive integer, got {env!r}")
+    _check_cap(value)
     return value
 
 
@@ -161,13 +175,21 @@ def cmd_list(args: argparse.Namespace, cap: int) -> int:
     return EXIT_OK
 
 
+# The direct triple constructions, each checked against enumeration by
+# verify: the modular inverse (the default), the paper's quotient chain and
+# the continued fraction.
+_CONSTRUCTIONS = ("inverse", "chain", "cf")
+
+
 def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> FareyTriple:
-    if method == "chain":
+    if method == "inverse":
         return triple(n, order)
-    if method == "cf":
-        check_center(n, order)
-        return triple_via_cf(Fraction._from_coprime(n, order))
-    return triple_by_scan(n, order, cap)
+    if method == "oracle":
+        return triple_by_scan(n, order, cap)
+    check_center(n, order)
+    if method == "chain":
+        return _chain_triple(n, order)
+    return triple_via_cf(Fraction._from_coprime(n, order))
 
 
 def cmd_triple(args: argparse.Namespace, cap: int) -> int:
@@ -246,8 +268,8 @@ def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
     """Check one order end to end.
 
     Enumerates F_order, validates the defining properties, then requires the
-    successor/predecessor queries to reproduce every adjacent pair and both
-    direct triple constructions to reproduce every centered triple.  Returns
+    successor/predecessor queries to reproduce every adjacent pair and each
+    direct triple construction to reproduce every centered triple.  Returns
     (order, centered triples checked, failure message or None).
     """
     seq = enumerate_farey(order, cap)
@@ -279,7 +301,7 @@ def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
             continue
         centers += 1
         expected = (terms[i - 1], center, terms[i + 1])
-        for method in ("chain", "cf"):
+        for method in _CONSTRUCTIONS:
             got = _triple_by_method(center.num, order, method, None)
             if (got.left, got.center, got.right) != expected:
                 return order, centers, (
@@ -364,7 +386,7 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> int:
 
 # The most queries `farey bench` makes per cell.
 MAX_REPS = 10**6
-# Back-to-back calls behind each chain or cf timing sample: a single call of
+# Back-to-back calls behind each triple timing sample: a single call of
 # a few microseconds is at the mercy of the timer and the machine.
 _BATCH = 16
 
@@ -411,7 +433,8 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
         n = rng.randrange(1, order) if order > 2 else 1
         if math.gcd(n, order) == 1:
             queries.append(n)
-    chain_times = [_time_ns(lambda n=n: triple(n, order), _BATCH) for n in queries]
+    inverse_times = [_time_ns(lambda n=n: triple(n, order), _BATCH) for n in queries]
+    chain_times = [_time_ns(lambda n=n: _chain_triple(n, order), _BATCH) for n in queries]
     cf_times = [
         _time_ns(lambda n=n: triple_via_cf(Fraction._from_coprime(n, order)), _BATCH)
         for n in queries
@@ -438,6 +461,7 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
             oracle_cell = _timing_summary(times)
     return {
         "order": order,
+        "inverse": _timing_summary(inverse_times),
         "chain": _timing_summary(chain_times),
         "cf": _timing_summary(cf_times),
         "oracle": oracle_cell,
@@ -464,15 +488,16 @@ def cmd_bench(args: argparse.Namespace, cap: int) -> int:
         _print_json({"cap": cap, "reps": args.reps, "rows": rows})
         return EXIT_OK
     print(
-        f"{'order':>16}  {'chain med(ns)':>14}  {'cf med(ns)':>14}"
-        f"  {'oracle med(ns)':>16}  {'len mean/max':>12}"
+        f"{'order':>16}  {'inverse med(ns)':>15}  {'chain med(ns)':>14}"
+        f"  {'cf med(ns)':>14}  {'oracle med(ns)':>16}  {'len mean/max':>12}"
     )
     for row in rows:
         oracle = row["oracle"]
         oracle_text = oracle if oracle == "skipped" else f"{oracle['median_ns']:,}"
         length = row["chain_length"]
         print(
-            f"{row['order']:>16,}  {row['chain']['median_ns']:>14,}"
+            f"{row['order']:>16,}  {row['inverse']['median_ns']:>15,}"
+            f"  {row['chain']['median_ns']:>14,}"
             f"  {row['cf']['median_ns']:>14,}  {oracle_text:>16}"
             f"  {length['mean'] + '/' + str(length['max']):>12}"
         )
@@ -494,8 +519,8 @@ def _add_common(parser: argparse.ArgumentParser, root: bool = False) -> None:
         type=_cap_token,
         default=None if root else argparse.SUPPRESS,
         metavar="TERMS",
-        help="refuse to enumerate more than this many terms"
-        " (default 10,000,000; FAREY_CAP overrides, this flag wins)",
+        help=f"refuse to enumerate more than this many terms (default"
+        f" {DEFAULT_CAP:,}, at most {MAX_CAP:,}; FAREY_CAP overrides, this flag wins)",
     )
 
 
@@ -518,9 +543,9 @@ def build_parser() -> _Parser:
     p.add_argument("order", type=_int_token)
     p.add_argument(
         "--method",
-        choices=("chain", "cf", "oracle"),
-        default="chain",
-        help="construction to use (default: chain)",
+        choices=(*_CONSTRUCTIONS, "oracle"),
+        default="inverse",
+        help="construction to use (default: inverse)",
     )
     _add_common(p)
     p.set_defaults(handler=cmd_triple)
@@ -561,7 +586,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("bench", help="time chain/cf/oracle queries per order")
+    p = sub.add_parser("bench", help="time inverse/chain/cf/oracle queries per order")
     p.add_argument("orders", help="comma-separated orders; 10^12 notation allowed")
     p.add_argument(
         "--reps",

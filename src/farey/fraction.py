@@ -60,6 +60,11 @@ class Fraction:
         """1 - self; the involution that reverses the order of any F_N."""
         return Fraction._from_coprime(self.den - self.num, self.den)
 
+    def __reduce__(self):
+        # Rebuild through __init__, which re-checks; without this, pickle
+        # protocols 0 and 1 cannot handle a __slots__ class.
+        return type(self), (self.num, self.den)
+
     def __eq__(self, other):
         if not isinstance(other, Fraction):
             return NotImplemented

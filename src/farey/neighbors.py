@@ -2,12 +2,9 @@
 
 The term immediately after a/b in F_N is found in two moves.  First locate
 the term after a/b in the smallest sequence containing it, F_b.  That base
-neighbor c/d is the unique fraction with cross determinant b*c - a*d = 1
-and 0 < d < b (Hardy & Wright, ch. III: consecutive Farey terms satisfy
-bc - ad = 1, and a second solution would differ by a multiple of (a, b),
-pushing d out of range).  Reading the determinant modulo b gives
-a*d = -1 (mod b), so d = b - a^(-1) mod b and c = (1 + a*d) / b: one
-modular inverse, ``pow(a, -1, b)``.
+neighbor c/d is the right term of the triple around a/b, which one modular
+inverse gives: d = b - a^(-1) mod b and c = (1 + a*d) / b
+(``triples._base_successor``; the derivation is in ``triples``).
 
 Then slide the base along the mediant ladder: with l = (N - d) // b, the
 answer is (l*a + c)/(l*b + d).  Each rung raises the denominator by b, so
@@ -16,9 +13,9 @@ while the next rung would not.
 
 Predecessors reuse the same machinery through the reflection x -> 1 - x,
 which maps F_N onto itself in reverse order.  The quotient-chain and
-continued-fraction triples (``triple``, ``triple_via_cf``) give the same
-base neighbor as their right term; ``farey verify`` checks all three
-against enumeration.
+continued-fraction triples give the same base neighbor as their right
+term; ``farey verify`` checks all three constructions against
+enumeration.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .fraction import Fraction, cross_det
 from .record import Record, _set
+from .triples import _base_successor
 
 
 class NeighborResult(Record):
@@ -57,14 +55,6 @@ class NeighborResult(Record):
         _set(self, "neighbor", neighbor)
         _set(self, "steps", steps)
         _set(self, "base", base)
-
-
-def _base_successor(a: int, b: int) -> tuple[int, int]:
-    """(c, d): the term after a/b in F_b, for reduced 0 <= a < b."""
-    if a == 0:
-        return 1, 1
-    d = b - pow(a, -1, b)
-    return (1 + a * d) // b, d
 
 
 def _successor(a: int, b: int, order: int) -> tuple[int, tuple[int, int], tuple[int, int]]:

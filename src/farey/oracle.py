@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 
 from .errors import CapExceededError, DomainError
-from .fraction import Fraction, cross_det, mediant
+from .fraction import Fraction, cross_det
 from .record import Record, _set
 from .triples import FareyTriple, check_center
 
@@ -136,8 +136,10 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
 
     mediants = 0
     for i in range(1, len(terms) - 1):
-        if terms[i] != mediant(terms[i - 1], terms[i + 1]):
-            return fail(f"{terms[i]} is not the mediant of its neighbors", i)
+        f, left, right = terms[i], terms[i - 1], terms[i + 1]
+        # f is reduced, so this is equality with the reduced mediant.
+        if f.num * (left.den + right.den) != f.den * (left.num + right.num):
+            return fail(f"{f} is not the mediant of its neighbors", i)
         mediants += 1
 
     centers = 0

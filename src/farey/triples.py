@@ -1,7 +1,17 @@
 """Three-term Farey neighborhoods built without enumerating the sequence.
 
 For a fraction n/N in lowest terms, the three consecutive terms of F_N
-centered on n/N are constructed in O(log N) exact integer steps:
+centered on n/N come from one modular inverse.  The right neighbor c/d is
+the unique fraction with N*c - n*d = 1 and 0 < d < N (Hardy & Wright,
+ch. III: consecutive Farey terms satisfy bc - ad = 1, and a second
+solution would differ by a multiple of (n, N), pushing d out of range).
+Reading the determinant modulo N gives n*d = -1 (mod N), so
+d = N - n^(-1) mod N and c = (1 + n*d) / N: ``pow(n, -1, N)``.  The left
+neighbor is then (n - c)/(N - d), because the center of a Farey triple is
+the mediant of its outer terms.  ``triple`` serves queries this way.
+
+The paper's construction reaches the same triple in O(log N) exact integer
+steps and is kept as a reproduction that ``farey verify`` checks:
 
   1. reduce the center by Euclidean quotient steps n/N -> n'/n until the
      numerator reaches 1 (``reduction_chain``),
@@ -14,13 +24,12 @@ Each lift step maps a valid triple of F_b2 (b2 the center's denominator)
 to a valid triple of F_(q*b2 + a2), so validity is preserved all the way
 up and the final center is exactly the requested n/N.
 
-``triple`` runs steps 1-3, and ``lift_chain`` steps 2-3, on plain ints
-and builds one validated ``FareyTriple`` at the end.  That single check
-certifies the whole answer: two unimodular pairs around n/N with outer
-denominators below N single out the neighbors of n/N in F_N, so nothing is
-lost by skipping the intermediate triples.  ``lift_step`` and
-``base_triple`` remain the one-step, validated form of the same
-construction.
+``_chain_triple`` runs steps 1-3, and ``lift_chain`` steps 2-3, on plain
+ints.  Every route builds one validated ``FareyTriple`` at the end.  That
+single check certifies the whole answer: two unimodular pairs around n/N
+with outer denominators below N single out the neighbors of n/N in F_N, so
+nothing is lost by skipping the intermediate triples.  ``lift_step`` and
+``base_triple`` remain the one-step, validated form of the chain.
 """
 
 from __future__ import annotations
@@ -214,17 +223,39 @@ def lift_chain(chain: ReductionChain) -> FareyTriple:
     )
 
 
-def triple(n: int, order: int) -> FareyTriple:
-    """The three consecutive terms of F_order centered on n/order.
+def _base_successor(a: int, b: int) -> tuple[int, int]:
+    """(c, d): the term after a/b in F_b, for reduced 0 <= a < b."""
+    if a == 0:
+        return 1, 1
+    d = b - pow(a, -1, b)
+    return (1 + a * d) // b, d
 
-    Runs in O(log order) integer operations: reduce the center, start from
-    the base triple, lift.  Agrees with reading the neighbors out of the
-    enumerated sequence for every valid input.
-    """
-    check_center(n, order)
+
+def _chain_triple(n: int, order: int) -> FareyTriple:
+    """The triple around n/order by the paper's quotient chain: reduce,
+    start from the base triple, lift.  Needs check_center(n, order)."""
     a, b, c, d = _lift(*_euclid(n, order))
     return FareyTriple(
         left=Fraction._from_coprime(a, b),
+        center=Fraction._from_coprime(n, order),
+        right=Fraction._from_coprime(c, d),
+        order=order,
+    )
+
+
+def triple(n: int, order: int) -> FareyTriple:
+    """The three consecutive terms of F_order centered on n/order.
+
+    One modular inverse gives the right neighbor c/d, and the left one is
+    (n - c)/(order - d).  Agrees with the quotient chain, the continued
+    fraction and the enumerated sequence for every valid input.
+    """
+    check_center(n, order)
+    c, d = _base_successor(n, order)
+    # Both outer pairs have cross determinant 1 with n/order, so all three
+    # terms are reduced.
+    return FareyTriple(
+        left=Fraction._from_coprime(n - c, order - d),
         center=Fraction._from_coprime(n, order),
         right=Fraction._from_coprime(c, d),
         order=order,

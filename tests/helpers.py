@@ -29,6 +29,7 @@ from farey import (
     triple_via_cf,
     verify_properties,
 )
+from farey.triples import _chain_triple
 
 SWEEP_MAX = 300  # exhaustive three-way triple agreement bound
 WALK_MAX = 120  # full successor-walk reconstruction and adjacency bound
@@ -84,6 +85,7 @@ def sweep() -> SweepSummary:
       properties     the defining-property verifier accepts the enumeration
       length         term count is 1 + running totient sum
       nesting        F_(N-1) is a subset of F_N
+      triple-inverse modular-inverse triples (``triple``) match the window
       triple-chain   quotient-chain triples match the enumerated window
       triple-cf      expansion-based triples match the enumerated window
       bridge         chain read as an expansion equals the direct expansion
@@ -136,6 +138,9 @@ def sweep() -> SweepSummary:
             expected = (terms[i - 1], center, terms[i + 1])
 
             got = triple(center.num, order)
+            if (got.left, got.center, got.right) != expected:
+                flag("triple-inverse", f"{center}: got {got.left} {got.center} {got.right}")
+            got = _chain_triple(center.num, order)
             if (got.left, got.center, got.right) != expected:
                 flag("triple-chain", f"{center}: got {got.left} {got.center} {got.right}")
             got = triple_via_cf(center)

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import farey.cli as cli
-from farey import Fraction, right_neighbor
+from farey import FareySequence, Fraction, right_neighbor
 from farey.cli import main
 from helpers import totient_sum
 
@@ -117,7 +117,7 @@ class TestTriple:
         assert code == 0
         assert out == '{"center":"5/39","left":"1/8","order":39,"right":"4/31"}\n'
 
-    @pytest.mark.parametrize("method", ["chain", "cf", "oracle"])
+    @pytest.mark.parametrize("method", ["inverse", "chain", "cf", "oracle"])
     def test_methods_agree_on_golden(self, capsys, method):
         code, out, _ = run_cli(capsys, "triple", "9", "25", "--method", method)
         assert code == 0
@@ -131,7 +131,7 @@ class TestTriple:
             g = gcd(n, order)
             n, order = n // g, order // g
             outputs = set()
-            for method in ("chain", "cf", "oracle"):
+            for method in ("inverse", "chain", "cf", "oracle"):
                 code, out, _ = run_cli(
                     capsys, "triple", str(n), str(order), "--method", method, "--json"
                 )
@@ -146,7 +146,7 @@ class TestTriple:
         assert "2/4 not irreducible" in err
 
     def test_rejects_out_of_range(self, capsys):
-        for method in ("chain", "cf", "oracle"):
+        for method in ("inverse", "chain", "cf", "oracle"):
             code, _, err = run_cli(capsys, "triple", "5", "5", "--method", method)
             assert code == 1
             assert "numerator must satisfy" in err
@@ -278,17 +278,28 @@ class TestVerify:
         assert "jobs must be >= 1" in err
 
     def test_detects_planted_triple_mutation(self, capsys, monkeypatch):
-        real = cli.triple
+        # Plant a wrong answer in each construction in turn; verify must name
+        # the one that broke.
+        def wrong_center(real):
+            return lambda n, order: real(1, order) if n != 1 else real(n, order)
 
-        def mutant(n, order):
-            return real(1, order) if n != 1 else real(n, order)
+        def wrong_cf_center(real):
+            return lambda c: real(Fraction(1, c.den) if c.num != 1 else c)
 
-        monkeypatch.setattr(cli, "triple", mutant)
-        code, out, err = run_cli(capsys, "verify", "8")
-        assert code == 3
-        assert out.startswith("FAIL:")
-        assert "--method chain" in out
-        assert err == ""
+        planted = [
+            ("inverse", "triple", wrong_center),
+            ("chain", "_chain_triple", wrong_center),
+            ("cf", "triple_via_cf", wrong_cf_center),
+        ]
+        for method, name, mutate in planted:
+            monkeypatch.setattr(cli, name, mutate(getattr(cli, name)))
+            code, out, err = run_cli(capsys, "verify", "8")
+            monkeypatch.undo()
+            assert code == 3
+            assert out.startswith("FAIL:")
+            assert f"{method} triple at" in out
+            assert f"--method {method})" in out
+            assert err == ""
 
     def test_detects_planted_triple_mutation_json(self, capsys, monkeypatch):
         real = cli.triple
@@ -327,7 +338,7 @@ class TestBench:
         assert payload["reps"] == 2
         assert [row["order"] for row in payload["rows"]] == [5, 8]
         for row in payload["rows"]:
-            for column in ("chain", "cf", "oracle"):
+            for column in ("inverse", "chain", "cf", "oracle"):
                 cell = row[column]
                 assert set(cell) == {"min_ns", "median_ns", "max_ns", "reps"}
                 assert cell["min_ns"] <= cell["median_ns"] <= cell["max_ns"]
@@ -345,6 +356,8 @@ class TestBench:
         lines = out.splitlines()
         assert lines[0].split() == [
             "order",
+            "inverse",
+            "med(ns)",
             "chain",
             "med(ns)",
             "cf",
@@ -431,6 +444,43 @@ class TestExitCodesAndCap:
 
     def test_exponent_notation_for_cap(self, capsys):
         assert run_cli(capsys, "--cap", "10^2", "list", "9")[0] == 0
+
+    @pytest.mark.parametrize("cap", ["100000001", "10^9", "10^100", f"10^{DIGIT_LIMIT - 1}"])
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_caps_above_the_ceiling_are_refused(self, capsys, monkeypatch, cap, where):
+        def unreachable(*args):
+            raise AssertionError("enumerated past a refused cap")
+
+        monkeypatch.setattr(cli, "enumerate_farey", unreachable)
+        if where == "env":
+            monkeypatch.setenv("FAREY_CAP", cap)
+            argv = ("list", "10^5")
+        else:
+            argv = ("--cap", cap, "list", "10^5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "cap must be <= 100,000,000" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_cap_at_the_ceiling_is_accepted(self, capsys, monkeypatch, where):
+        asked = []
+
+        def stub(order, cap):
+            asked.append(cap)
+            return FareySequence(order, (Fraction(0, 1), Fraction(1, 1)))
+
+        monkeypatch.setattr(cli, "enumerate_farey", stub)
+        if where == "env":
+            monkeypatch.setenv("FAREY_CAP", "10^8")
+            argv = ("list", "1")
+        else:
+            argv = ("--cap", "10^8", "list", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "0/1 1/1\n"
+        assert asked == [cli.MAX_CAP] == [10**8]
 
     @pytest.mark.parametrize(
         "argv", [("triple", "1", "10^5000"), ("next", "1/3", "10^5000")]

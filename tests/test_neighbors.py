@@ -13,9 +13,9 @@ from farey import (
     enumerate_farey,
     left_neighbor,
     right_neighbor,
-    triple,
     triple_via_cf,
 )
+from farey.triples import _chain_triple
 from helpers import sweep
 from strats import coprime_pairs
 
@@ -42,7 +42,7 @@ class TestBaseRightNeighbor:
     def test_agrees_with_both_triple_constructions(self, pair):
         n, order = pair
         x = Fraction(n, order)
-        t = triple(n, order)
+        t = _chain_triple(n, order)
         assert base_right_neighbor(x) == t.right == triple_via_cf(x).right
         assert left_neighbor(x, order).base == t.left
 

@@ -135,11 +135,25 @@ def test_property_report_is_mutable_and_unhashable():
 
 @pytest.mark.parametrize("record, _", EXAMPLES, ids=IDS)
 def test_pickle_and_copies_round_trip(record, _):
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(record, protocol))
         assert type(clone) is type(record) and clone == record
     assert copy.deepcopy(record) == record
     assert copy.copy(record) == record
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_fraction_pickles_at_every_protocol(protocol):
+    for x in (Fraction(0, 1), Fraction(5, 39), Fraction(1, 1)):
+        clone = pickle.loads(pickle.dumps(x, protocol))
+        assert type(clone) is Fraction and clone == x
+
+
+def test_fraction_unpickling_revalidates():
+    rebuild, (num, den) = Fraction(5, 39).__reduce__()
+    assert rebuild(num, den) == Fraction(5, 39)
+    with pytest.raises(DomainError):
+        rebuild(den, num)
 
 
 def test_unpickling_revalidates():

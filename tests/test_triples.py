@@ -18,6 +18,7 @@ from farey import (
     reduction_chain,
     triple,
     triple_by_scan,
+    triple_via_cf,
 )
 from farey import triples
 from helpers import sweep
@@ -276,6 +277,9 @@ class TestTriple:
     def test_oracle_agreement_sweep(self):
         assert sweep().complaints("triple-chain") == []
 
+    def test_inverse_oracle_agreement_sweep(self):
+        assert sweep().complaints("triple-inverse") == []
+
     def test_swapped_lift_is_caught_at_the_boundary(self, monkeypatch):
         # The int kernel is unchecked; the one FareyTriple built from its
         # output must still reject a wrong answer.
@@ -287,9 +291,27 @@ class TestTriple:
 
         monkeypatch.setattr(triples, "_lift", swapped)
         with pytest.raises(DomainError):
-            triple(5, 39)
+            triples._chain_triple(5, 39)
         with pytest.raises(DomainError):
             lift_chain(reduction_chain(_f("9/25")))
+
+    def test_wrong_sign_inverse_is_caught_at_the_boundary(self, monkeypatch):
+        # d = n^(-1) mod N instead of N - n^(-1) swaps the two neighbors;
+        # the FareyTriple check must reject the answer, not return it.
+        def wrong_sign(a, b):
+            d = pow(a, -1, b)
+            return (1 + a * d) // b, d
+
+        monkeypatch.setattr(triples, "_base_successor", wrong_sign)
+        for n, order in ((5, 39), (9, 25), (2, 3)):
+            with pytest.raises(DomainError):
+                triple(n, order)
+
+    @given(coprime_pairs(max_order=10**40))
+    def test_inverse_matches_chain_and_cf(self, pair):
+        n, order = pair
+        t = triple(n, order)
+        assert t == triples._chain_triple(n, order) == triple_via_cf(Fraction(n, order))
 
     @given(coprime_pairs(max_order=10**6))
     def test_center_and_shape_at_scale(self, pair):
