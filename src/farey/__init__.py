@@ -15,72 +15,65 @@ neighbors straight off the continued fraction expansion of the center.
 The agreement of all three with each other and with the oracle is the core
 correctness argument, exercised by `verify_properties` and the
 `farey verify` command.
+
+Public names resolve on first use.  `import farey` loads no submodule; the
+first lookup of a name (``farey.triple``, ``from farey import triple``)
+imports the submodule that defines it, through a module ``__getattr__``
+(PEP 562), and binds the name here, so later lookups are plain attribute
+reads.  ``__all__``, ``from farey import *`` and ``dir(farey)`` list every
+public name whether loaded or not.
 """
 
-from .cf import (
-    ContinuedFraction,
-    cf_canonicalize,
-    cf_evaluate,
-    cf_expand,
-    cf_of_chain,
-    triple_via_cf,
-)
-from .errors import CapExceededError, DomainError
-from .fraction import Fraction, cross_det, mediant
-from .neighbors import NeighborResult, base_right_neighbor, left_neighbor, right_neighbor
-from .oracle import (
-    DEFAULT_CAP,
-    FareySequence,
-    PropertyReport,
-    enumerate_farey,
-    iterate_farey,
-    scan_triple,
-    triple_by_scan,
-    verify_properties,
-)
-from .triples import (
-    FareyTriple,
-    ReductionChain,
-    are_adjacent,
-    base_triple,
-    lift_chain,
-    lift_step,
-    reduction_chain,
-    triple,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceededError",
-    "ContinuedFraction",
-    "DEFAULT_CAP",
-    "DomainError",
-    "FareySequence",
-    "FareyTriple",
-    "Fraction",
-    "NeighborResult",
-    "PropertyReport",
-    "ReductionChain",
-    "are_adjacent",
-    "base_right_neighbor",
-    "base_triple",
-    "cf_canonicalize",
-    "cf_evaluate",
-    "cf_expand",
-    "cf_of_chain",
-    "cross_det",
-    "enumerate_farey",
-    "iterate_farey",
-    "left_neighbor",
-    "lift_chain",
-    "lift_step",
-    "mediant",
-    "reduction_chain",
-    "right_neighbor",
-    "scan_triple",
-    "triple",
-    "triple_by_scan",
-    "triple_via_cf",
-    "verify_properties",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "cf": (
+        "ContinuedFraction",
+        "cf_canonicalize",
+        "cf_evaluate",
+        "cf_expand",
+        "cf_of_chain",
+        "triple_via_cf",
+    ),
+    "errors": ("CapExceededError", "DEFAULT_CAP", "DomainError"),
+    "fraction": ("Fraction", "cross_det", "mediant"),
+    "neighbors": ("NeighborResult", "base_right_neighbor", "left_neighbor", "right_neighbor"),
+    "oracle": (
+        "FareySequence",
+        "PropertyReport",
+        "enumerate_farey",
+        "iterate_farey",
+        "scan_triple",
+        "triple_by_scan",
+        "verify_properties",
+    ),
+    "triples": (
+        "FareyTriple",
+        "ReductionChain",
+        "are_adjacent",
+        "base_triple",
+        "lift_chain",
+        "lift_step",
+        "reduction_chain",
+        "triple",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,0 +1,276 @@
+"""The bulk commands of the command line: ``list``, ``verify`` and ``bench``.
+
+Each enumerates whole sequences or makes many queries, so a one-shot query
+has no use for this code: `farey.cli` imports this module only when one of
+these commands runs.  The library calls go through `farey.cli`
+(``cli.right_neighbor``, ``cli.enumerate_farey``, ``cli._bench_order``, ...),
+so a name patched there is the one these commands call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+from time import perf_counter_ns
+
+from . import cli
+from .errors import CapExceededError, DomainError
+from .fraction import Fraction
+
+
+def cmd_list(args: argparse.Namespace, cap: int) -> int:
+    seq = cli.enumerate_farey(args.order, cap)
+    if args.json:
+        cli._print_json(
+            {
+                "order": seq.order,
+                "count": len(seq),
+                "terms": [str(t) for t in seq.terms],
+            }
+        )
+    else:
+        cli._emit(" ".join(str(t) for t in seq.terms))
+    return cli.EXIT_OK
+
+
+def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
+    """Check one order end to end.
+
+    Enumerates F_order, validates the defining properties, then requires the
+    successor/predecessor queries to reproduce every adjacent pair and each
+    direct triple construction to reproduce every centered triple.  Returns
+    (order, centered triples checked, failure message or None).
+    """
+    seq = cli.enumerate_farey(order, cap)
+    report = cli.verify_properties(seq)
+    if not report.ok:
+        return order, 0, (
+            f"order {order}: {report.failure} at index {report.index}"
+            f" (reproduce: farey list {order})"
+        )
+    terms = seq.terms
+    right_neighbor, left_neighbor = cli.right_neighbor, cli.left_neighbor
+    for i in range(len(terms) - 1):
+        lo, hi = terms[i], terms[i + 1]
+        after = right_neighbor(lo, order).neighbor
+        if after != hi:
+            return order, 0, (
+                f"order {order}: successor of {lo} came out {after},"
+                f" enumeration says {hi} (reproduce: farey next {lo} {order})"
+            )
+        before = left_neighbor(hi, order).neighbor
+        if before != lo:
+            return order, 0, (
+                f"order {order}: predecessor of {hi} came out {before},"
+                f" enumeration says {lo} (reproduce: farey prev {hi} {order})"
+            )
+    centers = 0
+    for i in range(1, len(terms) - 1):
+        center = terms[i]
+        if center.den != order:
+            continue
+        centers += 1
+        expected = (terms[i - 1], center, terms[i + 1])
+        for method in cli._CONSTRUCTIONS:
+            got = cli._triple_by_method(center.num, order, method, None)
+            if (got.left, got.center, got.right) != expected:
+                return order, centers, (
+                    f"order {order}: {method} triple at {center} came out"
+                    f" {got.left} {got.center} {got.right}, enumeration says"
+                    f" {expected[0]} {expected[1]} {expected[2]}"
+                    f" (reproduce: farey triple {center.num} {order}"
+                    f" --method {method})"
+                )
+    return order, centers, None
+
+
+def _verify_results(orders: range, cap: int, jobs: int):
+    """Yield _verify_order for each order, in order.
+
+    With jobs > 1 a process pool does the work, holding at most 2 * jobs
+    orders in flight: submitting every order up front would queue an
+    unbounded number of tasks for a huge max order.
+    """
+    if jobs == 1:
+        for order in orders:
+            yield _verify_order(order, cap)
+        return
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        pending = deque()
+        for order in orders:
+            pending.append(pool.submit(_verify_order, order, cap))
+            if len(pending) == 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def cmd_verify(args: argparse.Namespace, cap: int) -> int:
+    if args.max_order < 2:
+        raise DomainError(f"max order must be >= 2, got {args.max_order}")
+    if args.jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {args.jobs}")
+    orders = range(2, args.max_order + 1)
+    # More workers than CPUs or orders would only add processes.  (len() of
+    # the range would overflow for a huge max order.)
+    jobs = min(args.jobs, os.cpu_count() or 1, args.max_order - 1)
+    checked = 0
+    triples_checked = 0
+    failure = None
+    results = _verify_results(orders, cap, jobs)
+    try:
+        for _, centers, message in results:
+            checked += 1
+            triples_checked += centers
+            if message is not None:
+                failure = message
+                break
+    finally:
+        results.close()
+    payload = {
+        "max_order": args.max_order,
+        "orders": checked,
+        "triples": triples_checked,
+        "mismatches": 0 if failure is None else 1,
+        "ok": failure is None,
+    }
+    if failure is None:
+        if args.json:
+            cli._print_json(payload)
+        else:
+            cli._emit(f"OK: {checked} orders, {triples_checked:,} triples, 0 mismatches")
+        return cli.EXIT_OK
+    if args.json:
+        payload["failure"] = failure
+        cli._print_json(payload)
+    else:
+        cli._emit(f"FAIL: {failure}")
+    return cli.EXIT_VERIFY
+
+
+# Back-to-back calls behind each triple timing sample: a single call of
+# a few microseconds is at the mercy of the timer and the machine.
+_BATCH = 16
+
+
+def _time_ns(fn, calls: int = 1) -> int:
+    """Integer ns per call over ``calls`` back-to-back calls of fn."""
+    start = perf_counter_ns()
+    for _ in range(calls):
+        fn()
+    return (perf_counter_ns() - start) // calls
+
+
+def _timing_summary(times: list[int]) -> dict:
+    import statistics
+
+    return {
+        "min_ns": min(times),
+        "median_ns": statistics.median_low(times),
+        "max_ns": max(times),
+        "reps": len(times),
+    }
+
+
+def _mean_text(total: int, count: int) -> str:
+    """Mean to two decimal places as a string, via integer arithmetic."""
+    hundredths = (100 * total) // count
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
+
+
+# |F_N| ~ (3/pi^2) N^2; used only to skip hopeless oracle cells quickly.
+_FAREY_DENSITY_PPM = 303_964
+
+
+def _estimated_terms(order: int) -> int:
+    return order * order * _FAREY_DENSITY_PPM // 1_000_000
+
+
+def _bench_order(order: int, reps: int, cap: int) -> dict:
+    from random import Random
+
+    triple, chain_triple, triple_via_cf = cli.triple, cli._chain_triple, cli.triple_via_cf
+    rng = Random(f"bench:{order}")
+    queries = []
+    while len(queries) < reps:
+        n = rng.randrange(1, order) if order > 2 else 1
+        if math.gcd(n, order) == 1:
+            queries.append(n)
+    inverse_times = [_time_ns(lambda n=n: triple(n, order), _BATCH) for n in queries]
+    chain_times = [_time_ns(lambda n=n: chain_triple(n, order), _BATCH) for n in queries]
+    cf_times = [
+        _time_ns(lambda n=n: triple_via_cf(Fraction._from_coprime(n, order)), _BATCH)
+        for n in queries
+    ]
+    lengths = [
+        len(cli.reduction_chain(Fraction._from_coprime(n, order)).quotients)
+        for n in queries
+    ]
+    oracle_cell: dict | str
+    estimate = _estimated_terms(order)
+    if order + 1 > cap or estimate > cap:
+        oracle_cell = "skipped"
+    else:
+        # Each oracle query enumerates F_order from scratch, so bound the
+        # total enumeration effort for the cell by one cap's worth of terms.
+        budget = max(1, min(reps, cap // max(1, estimate)))
+        times = []
+        try:
+            for n in queries[:budget]:
+                times.append(_time_ns(lambda n=n: cli.triple_by_scan(n, order, cap)))
+        except CapExceededError:
+            oracle_cell = "skipped"
+        else:
+            oracle_cell = _timing_summary(times)
+    return {
+        "order": order,
+        "inverse": _timing_summary(inverse_times),
+        "chain": _timing_summary(chain_times),
+        "cf": _timing_summary(cf_times),
+        "oracle": oracle_cell,
+        "chain_length": {"mean": _mean_text(sum(lengths), len(lengths)), "max": max(lengths)},
+    }
+
+
+def cmd_bench(args: argparse.Namespace, cap: int) -> int:
+    try:
+        orders = [cli._parse_count(token) for token in args.orders.split(",")]
+    except DomainError:
+        raise DomainError(f"cannot parse order list from {args.orders!r}") from None
+    if not orders:
+        raise DomainError("need at least one order to benchmark")
+    for order in orders:
+        if order < 2:
+            raise DomainError(f"order must be >= 2, got {order}")
+    if args.reps < 1:
+        raise DomainError(f"reps must be >= 1, got {args.reps}")
+    if args.reps > cli.MAX_REPS:
+        raise DomainError(
+            f"reps must be <= {cli.MAX_REPS:,}, got {cli._shown(str(args.reps))}"
+        )
+    rows = [cli._bench_order(order, args.reps, cap) for order in orders]
+    if args.json:
+        cli._print_json({"cap": cap, "reps": args.reps, "rows": rows})
+        return cli.EXIT_OK
+    cli._emit(
+        f"{'order':>16}  {'inverse med(ns)':>15}  {'chain med(ns)':>14}"
+        f"  {'cf med(ns)':>14}  {'oracle med(ns)':>16}  {'len mean/max':>12}"
+    )
+    for row in rows:
+        oracle = row["oracle"]
+        oracle_text = oracle if oracle == "skipped" else f"{oracle['median_ns']:,}"
+        length = row["chain_length"]
+        cli._emit(
+            f"{row['order']:>16,}  {row['inverse']['median_ns']:>15,}"
+            f"  {row['chain']['median_ns']:>14,}"
+            f"  {row['cf']['median_ns']:>14,}  {oracle_text:>16}"
+            f"  {length['mean'] + '/' + str(length['max']):>12}"
+        )
+    return cli.EXIT_OK

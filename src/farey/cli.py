@@ -5,8 +5,9 @@ fractions and reduction chains, an oracle cross-verifier, and a benchmark
 contrasting direct query costs against brute-force enumeration.
 
 Exit codes are a stable contract for scripts: 0 success, 1 usage or domain
-error, 2 enumeration cap exceeded, 3 verification mismatch.  Results go to
-stdout, diagnostics to stderr.
+error (or results that cannot be written), 2 enumeration cap exceeded,
+3 verification mismatch.  Results go to stdout, diagnostics to stderr; a
+reader that closes the pipe early ends the command quietly with 1.
 
 With --json every command emits one canonical document: sorted keys, compact
 separators, and no floats anywhere (timings are integer nanoseconds, means
@@ -20,16 +21,12 @@ Enumeration commands refuse to materialize more than a cap's worth of terms:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from time import perf_counter_ns
+from importlib import import_module
 
-from .cf import cf_expand, triple_via_cf
-from .errors import CapExceededError, DomainError
+from .errors import DEFAULT_CAP, CapExceededError, DomainError
 from .fraction import Fraction
-from .neighbors import NeighborResult, left_neighbor, right_neighbor
-from .oracle import DEFAULT_CAP, enumerate_farey, triple_by_scan, verify_properties
 from .triples import FareyTriple, _chain_triple, check_center, reduction_chain, triple
 
 EXIT_OK = 0
@@ -40,10 +37,50 @@ EXIT_VERIFY = 3
 # The largest enumeration cap --cap or FAREY_CAP may set: ten times the
 # default, so no single token can ask for billions of terms.
 MAX_CAP = 10 * DEFAULT_CAP
+# The most queries `farey bench` makes per cell.
+MAX_REPS = 10**6
+
+# Names served from modules that only some commands need, each with its
+# module; farey.bulk holds the list, verify and bench commands.  A name loads
+# on its first lookup as an attribute of this module (see __getattr__) and
+# then stays a plain global, so patching farey.cli.<name> reaches every
+# command that calls it.
+_LAZY = {
+    "cf_expand": "cf",
+    "triple_via_cf": "cf",
+    "left_neighbor": "neighbors",
+    "right_neighbor": "neighbors",
+    "enumerate_farey": "oracle",
+    "triple_by_scan": "oracle",
+    "verify_properties": "oracle",
+    "cmd_list": "bulk",
+    "cmd_verify": "bulk",
+    "cmd_bench": "bulk",
+    "_bench_order": "bulk",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+# This module as an object: a bare global lookup does not consult
+# __getattr__, so the code here reaches the names in _LAZY through it.
+_cli = sys.modules[__name__]
 
 
 class UsageError(Exception):
     """Bad command line; reported on stderr with exit code 1."""
+
+
+class OutputError(Exception):
+    """stdout cannot take the results; exit code 1, reported on stderr
+    unless the reader closed the pipe."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,25 +191,18 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return value
 
 
+def _emit(text: str) -> None:
+    """Write one line of results to stdout."""
+    try:
+        print(text)
+    except OSError as exc:
+        raise OutputError(exc) from exc
+
+
 def _print_json(payload) -> None:
     import json
 
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def cmd_list(args: argparse.Namespace, cap: int) -> int:
-    seq = enumerate_farey(args.order, cap)
-    if args.json:
-        _print_json(
-            {
-                "order": seq.order,
-                "count": len(seq),
-                "terms": [str(t) for t in seq.terms],
-            }
-        )
-    else:
-        print(" ".join(str(t) for t in seq.terms))
-    return EXIT_OK
+    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 # The direct triple constructions, each checked against enumeration by
@@ -185,11 +215,11 @@ def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> Farey
     if method == "inverse":
         return triple(n, order)
     if method == "oracle":
-        return triple_by_scan(n, order, cap)
+        return _cli.triple_by_scan(n, order, cap)
     check_center(n, order)
     if method == "chain":
         return _chain_triple(n, order)
-    return triple_via_cf(Fraction._from_coprime(n, order))
+    return _cli.triple_via_cf(Fraction._from_coprime(n, order))
 
 
 def cmd_triple(args: argparse.Namespace, cap: int) -> int:
@@ -204,11 +234,11 @@ def cmd_triple(args: argparse.Namespace, cap: int) -> int:
             }
         )
     else:
-        print(f"{result.left} {result.center} {result.right}")
+        _emit(f"{result.left} {result.center} {result.right}")
     return EXIT_OK
 
 
-def _neighbor_payload(result: NeighborResult, side: str) -> dict:
+def _neighbor_payload(result, side: str) -> dict:
     return {
         "query": str(result.query),
         "order": result.order,
@@ -219,31 +249,31 @@ def _neighbor_payload(result: NeighborResult, side: str) -> dict:
 
 
 def cmd_next(args: argparse.Namespace, cap: int) -> int:
-    result = right_neighbor(args.fraction, args.order)
+    result = _cli.right_neighbor(args.fraction, args.order)
     if args.json:
         _print_json(_neighbor_payload(result, "right"))
     else:
-        print(f"{result.neighbor} (l={result.steps})")
+        _emit(f"{result.neighbor} (l={result.steps})")
     return EXIT_OK
 
 
 def cmd_prev(args: argparse.Namespace, cap: int) -> int:
-    result = left_neighbor(args.fraction, args.order)
+    result = _cli.left_neighbor(args.fraction, args.order)
     if args.json:
         _print_json(_neighbor_payload(result, "left"))
     else:
-        print(str(result.neighbor))
+        _emit(str(result.neighbor))
     return EXIT_OK
 
 
 def cmd_cf(args: argparse.Namespace, cap: int) -> int:
-    expansion = cf_expand(args.fraction)
+    expansion = _cli.cf_expand(args.fraction)
     if args.json:
         _print_json(
             {"fraction": str(args.fraction), "coefficients": list(expansion.coeffs)}
         )
     else:
-        print(str(expansion))
+        _emit(str(expansion))
     return EXIT_OK
 
 
@@ -260,247 +290,7 @@ def cmd_chain(args: argparse.Namespace, cap: int) -> int:
         )
     else:
         quotients = "[" + ",".join(str(q) for q in chain.quotients) + "]"
-        print(f"rho={quotients} terminal={chain.terminal} k={len(chain.quotients)}")
-    return EXIT_OK
-
-
-def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
-    """Check one order end to end.
-
-    Enumerates F_order, validates the defining properties, then requires the
-    successor/predecessor queries to reproduce every adjacent pair and each
-    direct triple construction to reproduce every centered triple.  Returns
-    (order, centered triples checked, failure message or None).
-    """
-    seq = enumerate_farey(order, cap)
-    report = verify_properties(seq)
-    if not report.ok:
-        return order, 0, (
-            f"order {order}: {report.failure} at index {report.index}"
-            f" (reproduce: farey list {order})"
-        )
-    terms = seq.terms
-    for i in range(len(terms) - 1):
-        lo, hi = terms[i], terms[i + 1]
-        after = right_neighbor(lo, order).neighbor
-        if after != hi:
-            return order, 0, (
-                f"order {order}: successor of {lo} came out {after},"
-                f" enumeration says {hi} (reproduce: farey next {lo} {order})"
-            )
-        before = left_neighbor(hi, order).neighbor
-        if before != lo:
-            return order, 0, (
-                f"order {order}: predecessor of {hi} came out {before},"
-                f" enumeration says {lo} (reproduce: farey prev {hi} {order})"
-            )
-    centers = 0
-    for i in range(1, len(terms) - 1):
-        center = terms[i]
-        if center.den != order:
-            continue
-        centers += 1
-        expected = (terms[i - 1], center, terms[i + 1])
-        for method in _CONSTRUCTIONS:
-            got = _triple_by_method(center.num, order, method, None)
-            if (got.left, got.center, got.right) != expected:
-                return order, centers, (
-                    f"order {order}: {method} triple at {center} came out"
-                    f" {got.left} {got.center} {got.right}, enumeration says"
-                    f" {expected[0]} {expected[1]} {expected[2]}"
-                    f" (reproduce: farey triple {center.num} {order}"
-                    f" --method {method})"
-                )
-    return order, centers, None
-
-
-def _verify_results(orders: range, cap: int, jobs: int):
-    """Yield _verify_order for each order, in order.
-
-    With jobs > 1 a process pool does the work, holding at most 2 * jobs
-    orders in flight: submitting every order up front would queue an
-    unbounded number of tasks for a huge max order.
-    """
-    if jobs == 1:
-        for order in orders:
-            yield _verify_order(order, cap)
-        return
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        pending = deque()
-        for order in orders:
-            pending.append(pool.submit(_verify_order, order, cap))
-            if len(pending) == 2 * jobs:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def cmd_verify(args: argparse.Namespace, cap: int) -> int:
-    if args.max_order < 2:
-        raise DomainError(f"max order must be >= 2, got {args.max_order}")
-    if args.jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {args.jobs}")
-    orders = range(2, args.max_order + 1)
-    # More workers than CPUs or orders would only add processes.  (len() of
-    # the range would overflow for a huge max order.)
-    jobs = min(args.jobs, os.cpu_count() or 1, args.max_order - 1)
-    checked = 0
-    triples_checked = 0
-    failure = None
-    results = _verify_results(orders, cap, jobs)
-    try:
-        for _, centers, message in results:
-            checked += 1
-            triples_checked += centers
-            if message is not None:
-                failure = message
-                break
-    finally:
-        results.close()
-    payload = {
-        "max_order": args.max_order,
-        "orders": checked,
-        "triples": triples_checked,
-        "mismatches": 0 if failure is None else 1,
-        "ok": failure is None,
-    }
-    if failure is None:
-        if args.json:
-            _print_json(payload)
-        else:
-            print(f"OK: {checked} orders, {triples_checked:,} triples, 0 mismatches")
-        return EXIT_OK
-    if args.json:
-        payload["failure"] = failure
-        _print_json(payload)
-    else:
-        print(f"FAIL: {failure}")
-    return EXIT_VERIFY
-
-
-# The most queries `farey bench` makes per cell.
-MAX_REPS = 10**6
-# Back-to-back calls behind each triple timing sample: a single call of
-# a few microseconds is at the mercy of the timer and the machine.
-_BATCH = 16
-
-
-def _time_ns(fn, calls: int = 1) -> int:
-    """Integer ns per call over ``calls`` back-to-back calls of fn."""
-    start = perf_counter_ns()
-    for _ in range(calls):
-        fn()
-    return (perf_counter_ns() - start) // calls
-
-
-def _timing_summary(times: list[int]) -> dict:
-    import statistics
-
-    return {
-        "min_ns": min(times),
-        "median_ns": statistics.median_low(times),
-        "max_ns": max(times),
-        "reps": len(times),
-    }
-
-
-def _mean_text(total: int, count: int) -> str:
-    """Mean to two decimal places as a string, via integer arithmetic."""
-    hundredths = (100 * total) // count
-    return f"{hundredths // 100}.{hundredths % 100:02d}"
-
-
-# |F_N| ~ (3/pi^2) N^2; used only to skip hopeless oracle cells quickly.
-_FAREY_DENSITY_PPM = 303_964
-
-
-def _estimated_terms(order: int) -> int:
-    return order * order * _FAREY_DENSITY_PPM // 1_000_000
-
-
-def _bench_order(order: int, reps: int, cap: int) -> dict:
-    from random import Random
-
-    rng = Random(f"bench:{order}")
-    queries = []
-    while len(queries) < reps:
-        n = rng.randrange(1, order) if order > 2 else 1
-        if math.gcd(n, order) == 1:
-            queries.append(n)
-    inverse_times = [_time_ns(lambda n=n: triple(n, order), _BATCH) for n in queries]
-    chain_times = [_time_ns(lambda n=n: _chain_triple(n, order), _BATCH) for n in queries]
-    cf_times = [
-        _time_ns(lambda n=n: triple_via_cf(Fraction._from_coprime(n, order)), _BATCH)
-        for n in queries
-    ]
-    lengths = [
-        len(reduction_chain(Fraction._from_coprime(n, order)).quotients)
-        for n in queries
-    ]
-    oracle_cell: dict | str
-    estimate = _estimated_terms(order)
-    if order + 1 > cap or estimate > cap:
-        oracle_cell = "skipped"
-    else:
-        # Each oracle query enumerates F_order from scratch, so bound the
-        # total enumeration effort for the cell by one cap's worth of terms.
-        budget = max(1, min(reps, cap // max(1, estimate)))
-        times = []
-        try:
-            for n in queries[:budget]:
-                times.append(_time_ns(lambda n=n: triple_by_scan(n, order, cap)))
-        except CapExceededError:
-            oracle_cell = "skipped"
-        else:
-            oracle_cell = _timing_summary(times)
-    return {
-        "order": order,
-        "inverse": _timing_summary(inverse_times),
-        "chain": _timing_summary(chain_times),
-        "cf": _timing_summary(cf_times),
-        "oracle": oracle_cell,
-        "chain_length": {"mean": _mean_text(sum(lengths), len(lengths)), "max": max(lengths)},
-    }
-
-
-def cmd_bench(args: argparse.Namespace, cap: int) -> int:
-    try:
-        orders = [_parse_count(token) for token in args.orders.split(",")]
-    except DomainError:
-        raise DomainError(f"cannot parse order list from {args.orders!r}") from None
-    if not orders:
-        raise DomainError("need at least one order to benchmark")
-    for order in orders:
-        if order < 2:
-            raise DomainError(f"order must be >= 2, got {order}")
-    if args.reps < 1:
-        raise DomainError(f"reps must be >= 1, got {args.reps}")
-    if args.reps > MAX_REPS:
-        raise DomainError(f"reps must be <= {MAX_REPS:,}, got {_shown(str(args.reps))}")
-    rows = [_bench_order(order, args.reps, cap) for order in orders]
-    if args.json:
-        _print_json({"cap": cap, "reps": args.reps, "rows": rows})
-        return EXIT_OK
-    print(
-        f"{'order':>16}  {'inverse med(ns)':>15}  {'chain med(ns)':>14}"
-        f"  {'cf med(ns)':>14}  {'oracle med(ns)':>16}  {'len mean/max':>12}"
-    )
-    for row in rows:
-        oracle = row["oracle"]
-        oracle_text = oracle if oracle == "skipped" else f"{oracle['median_ns']:,}"
-        length = row["chain_length"]
-        print(
-            f"{row['order']:>16,}  {row['inverse']['median_ns']:>15,}"
-            f"  {row['chain']['median_ns']:>14,}"
-            f"  {row['cf']['median_ns']:>14,}  {oracle_text:>16}"
-            f"  {length['mean'] + '/' + str(length['max']):>12}"
-        )
+        _emit(f"rho={quotients} terminal={chain.terminal} k={len(chain.quotients)}")
     return EXIT_OK
 
 
@@ -536,7 +326,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("list", help="print every term of the sequence of a given order")
     p.add_argument("order", type=_int_token)
     _add_common(p)
-    p.set_defaults(handler=cmd_list)
 
     p = sub.add_parser("triple", help="the term n/order and its two neighbors")
     p.add_argument("num", type=_int_token)
@@ -548,29 +337,24 @@ def build_parser() -> _Parser:
         help="construction to use (default: inverse)",
     )
     _add_common(p)
-    p.set_defaults(handler=cmd_triple)
 
     p = sub.add_parser("next", help="the term immediately after a fraction")
     p.add_argument("fraction", type=_fraction_token)
     p.add_argument("order", type=_int_token)
     _add_common(p)
-    p.set_defaults(handler=cmd_next)
 
     p = sub.add_parser("prev", help="the term immediately before a fraction")
     p.add_argument("fraction", type=_fraction_token)
     p.add_argument("order", type=_int_token)
     _add_common(p)
-    p.set_defaults(handler=cmd_prev)
 
     p = sub.add_parser("cf", help="canonical continued fraction of a fraction")
     p.add_argument("fraction", type=_fraction_token)
     _add_common(p)
-    p.set_defaults(handler=cmd_cf)
 
     p = sub.add_parser("chain", help="quotient chain driving a fraction to numerator 1")
     p.add_argument("fraction", type=_fraction_token)
     _add_common(p)
-    p.set_defaults(handler=cmd_chain)
 
     p = sub.add_parser(
         "verify",
@@ -584,7 +368,6 @@ def build_parser() -> _Parser:
         help="worker processes (default 1; at most one per CPU and per order)",
     )
     _add_common(p)
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="time inverse/chain/cf/oracle queries per order")
     p.add_argument("orders", help="comma-separated orders; 10^12 notation allowed")
@@ -595,12 +378,11 @@ def build_parser() -> _Parser:
         help=f"queries per cell (default 25, at most {MAX_REPS:,})",
     )
     _add_common(p)
-    p.set_defaults(handler=cmd_bench)
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
@@ -609,15 +391,47 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # --help has printed its text and asked argparse to exit 0.
         return exc.code
+    # With fd 1 closed, sys.stdout is None and print() drops every result.
+    if sys.stdout is None:
+        raise OutputError("stdout is closed")
     try:
         cap = _resolve_cap(args)
-        return args.handler(args, cap)
+        return getattr(_cli, f"cmd_{args.command}")(args, cap)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+
+
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the flush at
+    interpreter exit has nothing left to fail on (the "Note on SIGPIPE" in
+    the signal module's documentation)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no stdout, or one that is not a file
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        if sys.stdout is not None:
+            try:
+                sys.stdout.flush()
+            except OSError as exc:
+                raise OutputError(exc) from exc
+    except OutputError as exc:
+        _detach_stdout()
+        if not isinstance(exc.__cause__, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration cap they
+enforce."""
+
+# The most terms an enumeration builds unless told otherwise.  It lives here,
+# beside CapExceededError, so the command line can state it without loading
+# the oracle.
+DEFAULT_CAP = 10_000_000
 
 
 class DomainError(ValueError):

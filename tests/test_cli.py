@@ -753,6 +753,21 @@ class TestInstalledEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "31/86 (l=3)\n"
 
+    def test_e2e_script(self, farey_exe):
+        # scripts/e2e.sh pins every command's bytes and exit code through
+        # both entry points, the console script and `python3 -m farey`.
+        env = self._script_env()
+        env["PATH"] = os.pathsep.join([str(Path(farey_exe).parent), env.get("PATH", "")])
+        proc = subprocess.run(
+            ["bash", str(REPO_ROOT / "scripts" / "e2e.sh")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.splitlines()[-1] == "e2e: 19 passed, 0 failed"
+
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
             [farey_exe, "triple", "2", "4"], capture_output=True, text=True, env=self._script_env()
@@ -765,3 +780,156 @@ class TestInstalledEntryPoints:
             env=self._script_env(),
         )
         assert proc.returncode == 2
+
+
+def _src_env():
+    """The environment of a child interpreter that imports farey from this
+    checkout's src/, with no enumeration cap override."""
+    env = dict(os.environ)
+    env.pop("FAREY_CAP", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs `python -m farey ARGV` through runpy, then names on stderr every
+# module it loaded.
+_MODULES_PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('farey', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(*sorted(sys.modules), file=sys.stderr)\n"
+)
+_ON_DEMAND = ("farey.cf", "farey.oracle", "farey.neighbors", "farey.bulk", "concurrent.futures", "json")
+
+
+class TestImportsOnDemand:
+    """A command imports, and so compiles, only the modules it runs."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            pytest.param(argv, loaded, id=" ".join(argv))
+            for argv, loaded in (
+                (["triple", "5", "39"], ()),
+                (["chain", "5/39"], ()),
+                (["next", "9/25", "100"], ("farey.neighbors",)),
+                (["prev", "9/25", "25"], ("farey.neighbors",)),
+                (["cf", "9/25"], ("farey.cf",)),
+            )
+        ],
+    )
+    def test_a_query_loads_only_its_own_modules(self, argv, loaded):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stderr.split())
+        assert "farey.cli" in modules
+        assert sorted(m for m in _ON_DEMAND if m in modules) == sorted(loaded)
+
+    def test_bare_package_import_loads_no_submodule(self):
+        probe = "import sys, farey; print(sorted(m for m in sys.modules if m.startswith('farey.')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), check=True
+        )
+        assert proc.stdout == "[]\n"
+
+
+def _stdout_env(buffering):
+    """_src_env with stdout block buffered, as by default, or unbuffered."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestOutputFailures:
+    """Results that cannot be written end in exit code 1, never a traceback.
+
+    With stdout block buffered a write failure surfaces at the last flush,
+    unbuffered at the write itself; both are run."""
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_reader_closing_the_pipe_early_exits_quietly(self, buffering):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "farey", "list", "500"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_stdout_env(buffering),
+        )
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert head == b"0/1 1/500 1/499 1/49"
+        assert err == b""
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_reader_gone_before_the_first_write_exits_quietly(self, buffering):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "farey", "triple", "5", "39"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=_stdout_env(buffering),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_full_device_is_reported(self, buffering):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "farey", "triple", "5", "39"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=_stdout_env(buffering),
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    def test_closed_stdout_is_reported(self):
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m farey verify 30 --json >&-', sys.executable],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write output: stdout is closed\n"
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (BrokenPipeError(32, "Broken pipe"), ""),
+            (OSError(28, "No space left on device"), "error: cannot write output: [Errno 28] No space left on device\n"),
+        ],
+        ids=["broken-pipe", "no-space"],
+    )
+    @pytest.mark.parametrize("argv", [("list", "5"), ("--json", "triple", "5", "39")], ids=" ".join)
+    def test_in_process_write_failure(self, error, message, argv):
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        err = io.StringIO()
+        with redirect_stdout(Failing()), redirect_stderr(err):
+            code = main(list(argv))
+        assert code == 1
+        assert err.getvalue() == message

@@ -95,6 +95,10 @@ class TestVerifyProperties:
         assert report.ok
         assert report.centers == 1
 
+    def test_f1_has_no_mediants_or_centers(self):
+        report = verify_properties(enumerate_farey(1))
+        assert (report.ok, report.pairs, report.mediants, report.centers) == (True, 1, 0, 0)
+
     def test_sweep_passes_everywhere(self):
         assert sweep().complaints("properties") == []
 
