@@ -96,10 +96,16 @@ def _verify_results(orders: range, cap: int, jobs: int):
         for order in orders:
             yield _verify_order(order, cap)
         return
+    import signal
     from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    # A worker that SIGINT reaches dies of it quietly, even between tasks,
+    # where Python would print a KeyboardInterrupt traceback; the parent
+    # reports the interrupt.
+    pool = ProcessPoolExecutor(
+        max_workers=jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL)
+    )
     try:
         pending = deque()
         for order in orders:

@@ -6,8 +6,9 @@ contrasting direct query costs against brute-force enumeration.
 
 Exit codes are a stable contract for scripts: 0 success, 1 usage or domain
 error (or results that cannot be written), 2 enumeration cap exceeded,
-3 verification mismatch.  Results go to stdout, diagnostics to stderr; a
-reader that closes the pipe early ends the command quietly with 1.
+3 verification mismatch, 130 interrupted (SIGINT).  Results go to stdout,
+diagnostics to stderr; a reader that closes the pipe early ends the command
+quietly with 1.
 
 With --json every command emits one canonical document: sorted keys, compact
 separators, and no floats anywhere (timings are integer nanoseconds, means
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPTED = 130
 
 # The largest enumeration cap --cap or FAREY_CAP may set: ten times the
 # default, so no single token can ask for billions of terms.
@@ -88,6 +90,15 @@ class _Parser(argparse.ArgumentParser):
     # enumeration cap here, so route usage problems through an exception.
     def error(self, message):
         raise UsageError(message)
+
+    # argparse ignores a failed write, so --help would exit 0 having written
+    # nothing; its text is output like any result.
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                (file or sys.stderr).write(message)
+            except OSError as exc:
+                raise OutputError(exc) from exc
 
 
 def _digit_limit() -> int:
@@ -431,6 +442,10 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(exc.__cause__, BrokenPipeError):
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        # A --jobs pool has been shut down on the way out of cmd_verify.
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return code
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError
+from .record import _new
 
 
 class Fraction:
@@ -34,12 +35,12 @@ class Fraction:
         self.num = num // g
         self.den = den // g
 
-    @classmethod
-    def _from_coprime(cls, num: int, den: int) -> Fraction:
-        # Hot-path constructor: caller guarantees gcd(num, den) == 1 and
-        # 0 <= num <= den.  Used by the enumeration recurrence and other
-        # loops whose outputs are provably reduced.
-        self = object.__new__(cls)
+    @staticmethod
+    def _from_coprime(num: int, den: int) -> Fraction:
+        # Hot-path constructor, static so a call binds nothing: the caller
+        # guarantees gcd(num, den) == 1 and 0 <= num <= den.  Used by the
+        # enumeration recurrence and other loops whose outputs are reduced.
+        self = _new(Fraction)
         self.num = num
         self.den = den
         return self
@@ -90,6 +91,9 @@ class Fraction:
 
     def __repr__(self):
         return f"Fraction({self.num}, {self.den})"
+
+
+_coprime = Fraction._from_coprime
 
 
 def cross_det(x: Fraction, y: Fraction) -> int:

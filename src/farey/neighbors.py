@@ -16,13 +16,19 @@ which maps F_N onto itself in reverse order.  The quotient-chain and
 continued-fraction triples give the same base neighbor as their right
 term; ``farey verify`` checks all three constructions against
 enumeration.
+
+Both queries build their one ``NeighborResult`` through ``_checked``,
+the check the public constructor runs, which also holds each answer to its
+side: cross determinant +1 with the query for a successor, -1 for a
+predecessor, so an inverse of the wrong sign is refused there.  The public
+constructor has no side field and accepts either.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .fraction import Fraction, cross_det
-from .record import Record, _set
+from .fraction import Fraction, _coprime
+from .record import Record, _new, _setters
 from .triples import _base_successor
 
 
@@ -39,39 +45,39 @@ class NeighborResult(Record):
     def __init__(
         self, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction
     ):
-        if steps < 0:
-            raise DomainError(f"step count must be >= 0, got {steps}")
-        if cross_det(query, neighbor) not in (1, -1):
-            raise DomainError(f"{query} and {neighbor} are not unimodular")
-        if neighbor.den > order:
-            raise DomainError(f"{neighbor} lies outside a sequence of order {order}")
-        if query.den + neighbor.den <= order:
-            raise DomainError(
-                f"{query} and {neighbor} are not adjacent at order "
-                f"{order}: a mediant still fits between them"
-            )
-        _set(self, "query", query)
-        _set(self, "order", order)
-        _set(self, "neighbor", neighbor)
-        _set(self, "steps", steps)
-        _set(self, "base", base)
+        _checked(self, query, order, neighbor, steps, base, 0)
 
 
-def _successor(a: int, b: int, order: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """(steps, base, neighbor) for the term after a/b in F_order, with base
-    and neighbor as (num, den) pairs; needs 0 <= a < b <= order.
-
-    Both pairs are reduced: each has cross determinant 1 with a/b, so any
-    common divisor divides 1.
-    """
-    c, d = _base_successor(a, b)
-    steps = (order - d) // b
-    return steps, (c, d), (steps * a + c, steps * b + d)
+_put_query, _put_order, _put_neighbor, _put_steps, _put_base = _setters(NeighborResult)
 
 
-def _check_member(x: Fraction, order: int) -> None:
-    if order < x.den:
-        raise DomainError(f"{x} is not a member of the sequence of order {order}")
+def _checked(self, query: Fraction, order: int, neighbor: Fraction, steps: int, base, side: int):
+    """Check an answer, store it in the bare record ``self`` and return it.
+    ``side`` is the cross determinant det(query, neighbor) required: 1 for
+    a successor, -1 for a predecessor, 0 for either."""
+    if order < query.den:
+        raise DomainError(f"{query} is not a member of the sequence of order {order}")
+    if steps < 0:
+        raise DomainError(f"step count must be >= 0, got {steps}")
+    det = neighbor.num * query.den - query.num * neighbor.den
+    if det != 1 and det != -1:
+        raise DomainError(f"{query} and {neighbor} are not unimodular")
+    if side and det != side:
+        which = "successor" if side == 1 else "predecessor"
+        raise DomainError(f"{neighbor} is not the {which} of {query}")
+    if neighbor.den > order:
+        raise DomainError(f"{neighbor} lies outside a sequence of order {order}")
+    if query.den + neighbor.den <= order:
+        raise DomainError(
+            f"{query} and {neighbor} are not adjacent at order "
+            f"{order}: a mediant still fits between them"
+        )
+    _put_query(self, query)
+    _put_order(self, order)
+    _put_neighbor(self, neighbor)
+    _put_steps(self, steps)
+    _put_base(self, base)
+    return self
 
 
 def base_right_neighbor(x: Fraction) -> Fraction:
@@ -82,22 +88,20 @@ def base_right_neighbor(x: Fraction) -> Fraction:
     """
     if x.num == x.den:
         raise DomainError("1/1 is the last term of every sequence")
-    return Fraction._from_coprime(*_base_successor(x.num, x.den))
+    return _coprime(*_base_successor(x.num, x.den))
 
 
 def right_neighbor(x: Fraction, order: int) -> NeighborResult:
     """The term immediately after x in F_order, for any order >= x.den."""
-    if x.num == x.den:
+    a, b = x.num, x.den
+    if a == b:
         raise DomainError("1/1 is the last term of every sequence")
-    _check_member(x, order)
-    steps, base, neighbor = _successor(x.num, x.den, order)
-    return NeighborResult(
-        query=x,
-        order=order,
-        neighbor=Fraction._from_coprime(*neighbor),
-        steps=steps,
-        base=Fraction._from_coprime(*base),
-    )
+    # Base and neighbor have cross determinant 1 with a/b, so both are
+    # reduced; the record rejects them unless order >= b.
+    c, d = _base_successor(a, b)
+    steps = (order - d) // b
+    neighbor = _coprime(steps * a + c, steps * b + d)
+    return _checked(_new(NeighborResult), x, order, neighbor, steps, _coprime(c, d), 1)
 
 
 def left_neighbor(x: Fraction, order: int) -> NeighborResult:
@@ -106,14 +110,10 @@ def left_neighbor(x: Fraction, order: int) -> NeighborResult:
     Computed as the reflection of a successor query: 1 - x is followed by
     1 - answer, because t -> 1 - t reverses F_order onto itself.
     """
-    if x.num == 0:
+    a, b = x.num, x.den
+    if a == 0:
         raise DomainError("0/1 is the first term of every sequence")
-    _check_member(x, order)
-    steps, (c, d), (e, f) = _successor(x.den - x.num, x.den, order)
-    return NeighborResult(
-        query=x,
-        order=order,
-        neighbor=Fraction._from_coprime(f - e, f),
-        steps=steps,
-        base=Fraction._from_coprime(d - c, d),
-    )
+    c, d = _base_successor(b - a, b)
+    steps = (order - d) // b
+    neighbor = _coprime(steps * a + d - c, steps * b + d)
+    return _checked(_new(NeighborResult), x, order, neighbor, steps, _coprime(d - c, d), -1)

@@ -10,11 +10,17 @@ value equality and hashing that only match the same class, a
 validating constructor.
 
 Each subclass's ``__init__`` runs its checks on the arguments and then
-stores every field with ``_set``; after that, assigning or deleting an
-attribute raises AttributeError.
+stores every field with ``_set`` or a ``_setters`` setter; after that,
+assigning or deleting an attribute raises AttributeError.
 """
 
 _set = object.__setattr__
+_new = object.__new__
+
+
+def _setters(cls) -> tuple:
+    """The slot setter of each field the class adds, in order; faster than ``_set``."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Record:

@@ -37,8 +37,8 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError
-from .fraction import Fraction, cross_det
-from .record import Record, _set
+from .fraction import Fraction, _coprime, cross_det
+from .record import Record, _new, _set, _setters
 
 
 class FareyTriple(Record):
@@ -55,20 +55,30 @@ class FareyTriple(Record):
     __slots__ = ("left", "center", "right", "order")
 
     def __init__(self, left: Fraction, center: Fraction, right: Fraction, order: int):
-        if order < 1:
-            raise DomainError(f"order must be >= 1, got {order}")
-        if center.den != order or center.num < 1:
-            raise DomainError(f"center {center} is not of the form n/{order} with n >= 1")
-        if cross_det(left, center) != 1:
-            raise DomainError(f"left pair {left}, {center} is not unimodular")
-        if cross_det(center, right) != 1:
-            raise DomainError(f"right pair {center}, {right} is not unimodular")
-        if left.den >= order or right.den >= order:
-            raise DomainError("outer denominators must be smaller than the order")
-        _set(self, "left", left)
-        _set(self, "center", center)
-        _set(self, "right", right)
-        _set(self, "order", order)
+        _checked(self, left, center, right, order)
+
+
+_put_left, _put_center, _put_right, _put_order = _setters(FareyTriple)
+
+
+def _checked(self, left: Fraction, center: Fraction, right: Fraction, order: int):
+    """Check a triple, store it in the bare record ``self`` and return it;
+    the queries call it on ``object.__new__(FareyTriple)``, skipping the type call."""
+    if order < 1:
+        raise DomainError(f"order must be >= 1, got {order}")
+    if center.den != order or center.num < 1:
+        raise DomainError(f"center {center} is not of the form n/{order} with n >= 1")
+    if center.num * left.den - left.num * order != 1:
+        raise DomainError(f"left pair {left}, {center} is not unimodular")
+    if right.num * order - center.num * right.den != 1:
+        raise DomainError(f"right pair {center}, {right} is not unimodular")
+    if left.den >= order or right.den >= order:
+        raise DomainError("outer denominators must be smaller than the order")
+    _put_left(self, left)
+    _put_center(self, center)
+    _put_right(self, right)
+    _put_order(self, order)
+    return self
 
 
 class ReductionChain(Record):
@@ -124,14 +134,10 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
 
     def send(f: Fraction) -> Fraction:
         # gcd(b, q*b + a) = gcd(b, a) = 1, so the image is already reduced
-        return Fraction._from_coprime(f.den, quotient * f.den + f.num)
+        return _coprime(f.den, quotient * f.den + f.num)
 
-    return FareyTriple(
-        left=send(triple.right),
-        center=send(triple.center),
-        right=send(triple.left),
-        order=quotient * triple.center.den + triple.center.num,
-    )
+    order = quotient * triple.center.den + triple.center.num
+    return FareyTriple(send(triple.right), send(triple.center), send(triple.left), order)
 
 
 def check_center(n: int, order: int) -> None:
@@ -196,12 +202,7 @@ def base_triple(order: int) -> FareyTriple:
     """
     if order < 2:
         raise DomainError(f"order must be >= 2, got {order}")
-    return FareyTriple(
-        left=Fraction._from_coprime(0, 1),
-        center=Fraction._from_coprime(1, order),
-        right=Fraction._from_coprime(1, order - 1),
-        order=order,
-    )
+    return FareyTriple(_coprime(0, 1), _coprime(1, order), _coprime(1, order - 1), order)
 
 
 def lift_chain(chain: ReductionChain) -> FareyTriple:
@@ -215,11 +216,8 @@ def lift_chain(chain: ReductionChain) -> FareyTriple:
     a, b, c, d = _lift(chain.quotients, chain.terminal)
     # Each image b/(q*b + a) of a reduced a/b is reduced, and so is the sum
     # of a unimodular pair.
-    return FareyTriple(
-        left=Fraction._from_coprime(a, b),
-        center=Fraction._from_coprime(a + c, b + d),
-        right=Fraction._from_coprime(c, d),
-        order=b + d,
+    return _checked(
+        _new(FareyTriple), _coprime(a, b), _coprime(a + c, b + d), _coprime(c, d), b + d
     )
 
 
@@ -235,12 +233,7 @@ def _chain_triple(n: int, order: int) -> FareyTriple:
     """The triple around n/order by the paper's quotient chain: reduce,
     start from the base triple, lift.  Needs check_center(n, order)."""
     a, b, c, d = _lift(*_euclid(n, order))
-    return FareyTriple(
-        left=Fraction._from_coprime(a, b),
-        center=Fraction._from_coprime(n, order),
-        right=Fraction._from_coprime(c, d),
-        order=order,
-    )
+    return _checked(_new(FareyTriple), _coprime(a, b), _coprime(n, order), _coprime(c, d), order)
 
 
 def triple(n: int, order: int) -> FareyTriple:
@@ -254,9 +247,6 @@ def triple(n: int, order: int) -> FareyTriple:
     c, d = _base_successor(n, order)
     # Both outer pairs have cross determinant 1 with n/order, so all three
     # terms are reduced.
-    return FareyTriple(
-        left=Fraction._from_coprime(n - c, order - d),
-        center=Fraction._from_coprime(n, order),
-        right=Fraction._from_coprime(c, d),
-        order=order,
+    return _checked(
+        _new(FareyTriple), _coprime(n - c, order - d), _coprime(n, order), _coprime(c, d), order
     )

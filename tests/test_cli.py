@@ -12,6 +12,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -48,7 +49,7 @@ class InlinePool:
 
     submitted = 0
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         self.max_workers = max_workers
 
     def submit(self, fn, *args):
@@ -529,7 +530,7 @@ class TestExitCodesAndCap:
         workers = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 workers.append(max_workers)
 
             def submit(self, fn, *args):
@@ -903,6 +904,22 @@ class TestOutputFailures:
         assert proc.returncode == 1
         assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["triple", "--help"]], ids=" ".join)
+    def test_help_to_a_full_device_is_reported(self, buffering, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "farey", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=_stdout_env(buffering),
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
     def test_closed_stdout_is_reported(self):
         proc = subprocess.run(
             ["sh", "-c", '"$0" -m farey verify 30 --json >&-', sys.executable],
@@ -933,3 +950,38 @@ class TestOutputFailures:
             code = main(list(argv))
         assert code == 1
         assert err.getvalue() == message
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+class TestInterrupt:
+    """SIGINT, as a terminal's Ctrl-C sends it to the whole process group,
+    ends a command with 130 and a one-line note, and leaves no worker."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sigint_exits_130_and_leaves_no_process(self, jobs):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "farey", "verify", "400", "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            start_new_session=True,
+        )
+        group = proc.pid
+        try:
+            # Long enough to be past start-up and, with --jobs 2, to have the
+            # pool running; verify 400 takes far longer than this.
+            time.sleep(1.5)
+            assert proc.poll() is None
+            os.killpg(group, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130
+            assert (out, err) == ("", "interrupted\n")
+            with pytest.raises(ProcessLookupError):
+                os.killpg(group, 0)
+        finally:
+            try:
+                os.killpg(group, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()

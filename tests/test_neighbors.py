@@ -15,6 +15,7 @@ from farey import (
     right_neighbor,
     triple_via_cf,
 )
+from farey import neighbors
 from farey.triples import _chain_triple
 from helpers import sweep
 from strats import coprime_pairs
@@ -161,6 +162,35 @@ class TestResultType:
                 steps=0,
                 base=Fraction(4, 11),
             )
+
+
+    def test_rejects_query_outside_the_order(self):
+        # 1/4 and 1/3 are unimodular, but 1/4 is not a term of F_3.
+        with pytest.raises(DomainError, match="not a member"):
+            NeighborResult(Fraction(1, 4), 3, Fraction(1, 3), 0, Fraction(1, 3))
+
+    def test_accepts_either_side(self):
+        # The record has no side field: a successor and a predecessor both fit.
+        x = Fraction(9, 25)
+        for neighbor in (Fraction(4, 11), Fraction(5, 14)):
+            assert NeighborResult(x, 25, neighbor, 0, neighbor).neighbor == neighbor
+
+    def test_wrong_sign_inverse_is_caught_at_the_boundary(self, monkeypatch):
+        # d = n^(-1) mod N instead of N - n^(-1) gives the neighbor on the
+        # other side; it passes every check but the side, which must refuse it.
+        def wrong_sign(a, b):
+            if a == 0:
+                return 1, 1
+            d = pow(a, -1, b)
+            return (1 + a * d) // b, d
+
+        monkeypatch.setattr(neighbors, "_base_successor", wrong_sign)
+        for text, order in (("5/39", 39), ("9/25", 100), ("9/25", 25)):
+            x = Fraction.parse(text)
+            with pytest.raises(DomainError, match="not the successor"):
+                right_neighbor(x, order)
+            with pytest.raises(DomainError, match="not the predecessor"):
+                left_neighbor(x, order)
 
 
 class TestAgainstOracle:

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from farey import (
     ContinuedFraction,
@@ -23,9 +25,12 @@ from farey import (
     enumerate_farey,
     reduction_chain,
     right_neighbor,
+    left_neighbor,
     triple,
     verify_properties,
 )
+from farey.triples import _chain_triple
+from strats import coprime_pairs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -176,6 +181,49 @@ def test_unpickling_revalidates():
 def test_bad_construction_raises(build):
     with pytest.raises(DomainError):
         build()
+
+
+def _fresh(x):
+    return Fraction(x.num, x.den)
+
+
+def _assert_same_record(built, twin):
+    assert type(built) is type(twin) and built == twin and twin == built
+    assert hash(built) == hash(twin)
+    assert repr(built) == repr(twin)
+    for clone in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert clone == twin and repr(clone) == repr(twin)
+
+
+@given(coprime_pairs(max_order=10**40), st.integers(0, 10**40))
+def test_queries_build_the_records_the_public_constructors_build(pair, extra):
+    # The queries fill bare records on a fast path; each record must be the
+    # one the validating keyword constructors make from the same fields.
+    n, order = pair
+    for t in (triple(n, order), _chain_triple(n, order)):
+        twin = FareyTriple(
+            left=_fresh(t.left), center=_fresh(t.center), right=_fresh(t.right), order=order
+        )
+        _assert_same_record(t, twin)
+    x = Fraction(n, order)
+    for query in (right_neighbor, left_neighbor):
+        for at in (order, order + extra):
+            r = query(x, at)
+            twin = NeighborResult(
+                query=_fresh(x), order=at, neighbor=_fresh(r.neighbor), steps=r.steps,
+                base=_fresh(r.base),
+            )
+            _assert_same_record(r, twin)
+
+
+@given(coprime_pairs(max_order=10**40))
+def test_from_coprime_is_the_reduced_fraction(pair):
+    n, order = pair
+    for num, den in ((n, order), (0, 1), (1, 1), (order - n, order)):
+        fast = Fraction._from_coprime(num, den)
+        assert type(fast) is Fraction
+        assert fast == Fraction(num, den) and hash(fast) == hash(Fraction(num, den))
+        assert repr(fast) == repr(Fraction(num, den))
 
 
 def test_keyword_construction():
