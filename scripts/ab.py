@@ -9,8 +9,9 @@ each side runs its own bench/ and src/ and the working tree is not touched
 (commit, or pass `git stash create` as --change, to measure uncommitted
 work).  Pair i runs every workload on both sides with seed SEED_BASE + i,
 the two runs of one workload back to back; odd pairs run the parent first,
-even pairs the change first.  Every process runs with
-PYTHONDONTWRITEBYTECODE=1, so both sides compile their source alike.
+even pairs the change first.  Each run lasts BENCHMARK.json's run_seconds,
+and every process runs with PYTHONDONTWRITEBYTECODE=1, so both sides
+compile their source alike.
 
 For each workload and metric the output records every run, each side's
 median and quartiles (q1 and q3 are the medians of the lower and upper
@@ -58,10 +59,11 @@ def _extract(rev: str, into: Path) -> str:
     return commit
 
 
-def _better() -> dict[str, str]:
-    """The direction of each end-to-end metric, as BENCHMARK.json gives it."""
+def _spec() -> tuple[dict[str, str], int]:
+    """BENCHMARK.json's direction for each end-to-end metric, and its run
+    length in seconds."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {row["name"]: row["better"] for row in spec["end_to_end"]}
+    return {row["name"]: row["better"] for row in spec["end_to_end"]}, spec["run_seconds"]
 
 
 def _direction(name: str, unit: str, declared: dict[str, str]) -> str | None:
@@ -83,7 +85,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
     proc = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
-        raise SystemExit(f"ab: {' '.join(argv[1:])} in {tree} exited {proc.returncode} with no result")
+        raise SystemExit(f"ab: {' '.join(argv[1:])} in {tree} exited {proc.returncode}, no result")
     return json.loads(lines[-1], parse_float=Decimal, parse_int=Decimal)
 
 
@@ -99,7 +101,7 @@ def _quartiles(runs: list[Decimal]) -> tuple[Decimal, Decimal, Decimal]:
 
 
 def _summary(runs: dict[str, list[Decimal]], better: str | None) -> dict:
-    out: dict = {"better": better, "runs": {side: [_text(v) for v in runs[side]] for side in SIDES}}
+    out: dict = {"better": better, "runs": {s: [_text(v) for v in runs[s]] for s in SIDES}}
     medians = {}
     for side in SIDES:
         q1, mid, q3 = _quartiles(runs[side])
@@ -116,14 +118,17 @@ def _summary(runs: dict[str, list[Decimal]], better: str | None) -> dict:
 
 
 def _claim(section: dict, workload: str, metric: str) -> dict:
-    row = section["workloads"][workload]["metrics"][metric]
-    parent = [Decimal(v) for v in row["runs"]["parent"]]
-    q1, parent_median, q3 = _quartiles(parent)
+    rows = section["workloads"][workload]
+    row = rows["metrics"].get(metric)
+    if row is None or row["better"] is None:
+        raise SystemExit(f"ab: {workload} reports no timing or rate named {metric!r}")
+    q1, parent_median, q3 = (Decimal(row["parent"][k]) for k in ("q1", "median", "q3"))
     change_median = Decimal(row["change"]["median"])
     gap = change_median - parent_median
     if row["better"] == "lower":
         gap = -gap
-    pairs = len(parent)
+    pairs = len(row["runs"]["parent"])
+    failed = {side: sum(rows["failed"][side]) for side in SIDES}
     return {
         "workload": workload,
         "metric": metric,
@@ -132,7 +137,9 @@ def _claim(section: dict, workload: str, metric: str) -> dict:
         "parent_iqr": _text(q3 - q1),
         "change_wins": row["change_wins"],
         "pairs": pairs,
-        "met": 10 * row["change_wins"] >= 9 * pairs and gap > q3 - q1,
+        "met": 10 * row["change_wins"] >= 9 * pairs
+        and gap > q3 - q1
+        and failed["change"] <= failed["parent"],
     }
 
 
@@ -142,10 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default="all", help="comma-separated, or all")
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--seed-base", type=int, default=900)
-    parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric a gain is claimed on")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="where a gain is claimed")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     workloads = WORKLOADS if args.workloads == "all" else tuple(args.workloads.split(","))
@@ -154,22 +160,24 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown workloads {unknown}" if unknown else "--pairs must be >= 1")
     if args.claim and (":" not in args.claim or args.claim.split(":")[0] not in workloads):
         parser.error("--claim must be WORKLOAD:METRIC with a workload that runs")
-    declared = _better()
+    declared, seconds = _spec()
 
     seeds = [args.seed_base + i for i in range(1, args.pairs + 1)]
     results = {w: {side: [] for side in SIDES} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="farey-ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
-        commits = {side: _extract(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
+        revs = {"parent": args.parent, "change": args.change}
+        commits = {side: _extract(revs[side], trees[side]) for side in SIDES}
         for i, seed in enumerate(seeds, 1):
             order = SIDES if i % 2 else SIDES[::-1]
             for workload in workloads:
                 for side in order:
-                    print(f"ab: pair {i}/{args.pairs} {workload} {side}", file=sys.stderr, flush=True)
-                    results[workload][side].append(_run(trees[side], workload, seed, args.seconds, args.trace))
+                    print(f"ab: pair {i}/{args.pairs} {workload} {side}", file=sys.stderr)
+                    run = _run(trees[side], workload, seed, seconds, args.trace)
+                    results[workload][side].append(run)
 
     section: dict = {
-        "command": f"python3 bench/run.py --workload WORKLOAD --seed SEED --seconds {args.seconds}"
+        "command": f"python3 bench/run.py --workload WORKLOAD --seed SEED --seconds {seconds}"
         f" --trace {args.trace}",
         "seeds": seeds,
         "workloads": {},
@@ -191,13 +199,16 @@ def main(argv: list[str] | None = None) -> int:
         section["claim"] = _claim(section, *args.claim.split(":", 1))
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if doc.get("parent_commit") != commits["parent"] or doc.get("change_commit") != commits["change"]:
+    if [doc.get(f"{side}_commit") for side in SIDES] != [commits[side] for side in SIDES]:
         doc = {}
     doc.update(
         parent_commit=commits["parent"],
         change_commit=commits["change"],
-        machine={"python": platform.python_version(), "platform": f"{platform.system()} {platform.machine()}",
-                 "cpu_count": os.cpu_count()},
+        machine={
+            "python": platform.python_version(),
+            "platform": f"{platform.system()} {platform.machine()}",
+            "cpu_count": os.cpu_count(),
+        },
         pairs="pair i runs every workload on both commits with seed SEED_BASE + i, back to back;"
         " odd pairs run the parent first; PYTHONDONTWRITEBYTECODE=1",
         statistics="median and quartiles: q1 and q3 are the medians of the lower and upper halves"
@@ -207,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     if "claim" in section:
         claim = section["claim"]
-        print(f"ab: claim {claim['workload']}:{claim['metric']} met={claim['met']}", file=sys.stderr)
+        print(f"ab: {claim['workload']}:{claim['metric']} met={claim['met']}", file=sys.stderr)
     return 0
 
 
