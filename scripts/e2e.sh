@@ -25,6 +25,7 @@ check() {
 }
 
 check "list golden row"        0 "0/1 1/5 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 1/1" farey list 5
+check "list json bytes"        0 '{"count":11,"order":5,"terms":["0/1","1/5","1/4","1/3","2/5","1/2","3/5","2/3","3/4","4/5","1/1"]}' farey --json list 5
 check "triple via inverse"     0 "1/8 5/39 4/31"                farey triple 5 39
 check "triple via chain"       0 "1/8 5/39 4/31"                farey triple 5 39 --method chain
 check "triple via cf"          0 "5/14 9/25 4/11"               farey triple 9 25 --method cf
@@ -40,7 +41,9 @@ check "module entry"           0 "31/86 (l=3)"                  python3 -m farey
 check "verify to 120"          0 "OK: 119 orders, 4,385 triples, 0 mismatches" farey verify 120
 check "reducible rejected"     1 ""                             farey triple 2 4
 check "last term has no next"  1 ""                             farey next 1/1 10
+check "cap at exact length"    0 "0/1 1/5 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 1/1" farey --cap 11 list 5
 check "cap exceeded"           2 ""                             farey --cap 10 list 5
+check "cap refuses oracle walk" 2 ""                            farey --cap 100 triple 9 25 --method oracle
 check "cap env honored"        2 ""                             env FAREY_CAP=10 farey list 5
 
 out="$(env -u FAREY_CAP farey bench 10^12 --reps 3 --json 2>/dev/null)"

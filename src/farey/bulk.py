@@ -1,10 +1,12 @@
 """The bulk commands of the command line: ``list``, ``verify`` and ``bench``.
 
-Each enumerates whole sequences or makes many queries, so a one-shot query
-has no use for this code: `farey.cli` imports this module only when one of
-these commands runs.  The library calls go through `farey.cli`
-(``cli.right_neighbor``, ``cli.enumerate_farey``, ``cli._bench_order``, ...),
-so a name patched there is the one these commands call.
+Each walks whole sequences or makes many queries, so a one-shot query has
+no use for this code: `farey.cli` imports this module only when one of these
+commands runs.  `list` and `verify` walk each sequence once, term by term,
+after the oracle has checked its exact length against the cap, so they hold
+O(1) terms whatever the order.  The library calls go through `farey.cli`
+(``cli.right_neighbor``, ``cli._farey_walk``, ``cli._bench_order``, ...), so a
+name patched there is the one these commands call.
 """
 
 from __future__ import annotations
@@ -12,76 +14,82 @@ from __future__ import annotations
 import argparse
 import math
 import os
+from itertools import islice
 from time import perf_counter_ns
 
 from . import cli
-from .errors import CapExceededError, DomainError
+from .errors import DomainError
 from .fraction import Fraction
 
 
+# Terms per write of `list`: enough to keep the writes few, few enough that
+# what is held at once stays small.
+_CHUNK = 4096
+
+
 def cmd_list(args: argparse.Namespace, cap: int) -> int:
-    seq = cli.enumerate_farey(args.order, cap)
+    order = args.order
+    terms = map(str, cli._farey_walk(order, cap))
     if args.json:
-        cli._print_json(
-            {
-                "order": seq.order,
-                "count": len(seq),
-                "terms": [str(t) for t in seq.terms],
-            }
-        )
+        # The canonical document, written in pieces: its terms need no escape.
+        head = f'{{"count":{cli._farey_length(order)},"order":{order},"terms":["'
+        sep, tail = '","', '"]}'
     else:
-        cli._emit(" ".join(str(t) for t in seq.terms))
+        head, sep, tail = "", " ", ""
+    # F_order has at least two terms, and a chunk is empty only at the end.
+    cli._emit(head + sep.join(islice(terms, _CHUNK)), end="")
+    while chunk := sep.join(islice(terms, _CHUNK)):
+        cli._emit(sep + chunk, end="")
+    cli._emit(tail)
     return cli.EXIT_OK
 
 
 def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
-    """Check one order end to end.
+    """Check one order end to end, in one walk of F_order.
 
-    Enumerates F_order, validates the defining properties, then requires the
-    successor/predecessor queries to reproduce every adjacent pair and each
-    direct triple construction to reproduce every centered triple.  Returns
-    (order, centered triples checked, failure message or None).
+    Each adjacent pair is certified against the defining properties (see
+    `oracle.verify_properties`), then the successor and predecessor queries
+    must reproduce it.  At each center, once both of its pairs have passed,
+    each direct triple construction must reproduce the centered triple.
+    Returns (order, centered triples checked, failure message or None).
     """
-    seq = cli.enumerate_farey(order, cap)
-    report = cli.verify_properties(seq)
-    if not report.ok:
-        return order, 0, (
-            f"order {order}: {report.failure} at index {report.index}"
-            f" (reproduce: farey list {order})"
-        )
-    terms = seq.terms
     right_neighbor, left_neighbor = cli.right_neighbor, cli.left_neighbor
-    for i in range(len(terms) - 1):
-        lo, hi = terms[i], terms[i + 1]
+    report = cli.PropertyReport(ok=True)
+    centers = 0
+    left = None
+    for lo, hi in cli._certified(order, cli._farey_walk(order, cap), report):
         after = right_neighbor(lo, order).neighbor
         if after != hi:
-            return order, 0, (
+            return order, centers, (
                 f"order {order}: successor of {lo} came out {after},"
                 f" enumeration says {hi} (reproduce: farey next {lo} {order})"
             )
         before = left_neighbor(hi, order).neighbor
         if before != lo:
-            return order, 0, (
+            return order, centers, (
                 f"order {order}: predecessor of {hi} came out {before},"
                 f" enumeration says {lo} (reproduce: farey prev {hi} {order})"
             )
-    centers = 0
-    for i in range(1, len(terms) - 1):
-        center = terms[i]
-        if center.den != order:
-            continue
-        centers += 1
-        expected = (terms[i - 1], center, terms[i + 1])
-        for method in cli._CONSTRUCTIONS:
-            got = cli._triple_by_method(center.num, order, method, None)
-            if (got.left, got.center, got.right) != expected:
-                return order, centers, (
-                    f"order {order}: {method} triple at {center} came out"
-                    f" {got.left} {got.center} {got.right}, enumeration says"
-                    f" {expected[0]} {expected[1]} {expected[2]}"
-                    f" (reproduce: farey triple {center.num} {order}"
-                    f" --method {method})"
-                )
+        # order >= 2, so a term with denominator order is interior.
+        if lo.den == order:
+            centers += 1
+            expected = (left, lo, hi)
+            for method in cli._CONSTRUCTIONS:
+                got = cli._triple_by_method(lo.num, order, method, None)
+                if (got.left, got.center, got.right) != expected:
+                    return order, centers, (
+                        f"order {order}: {method} triple at {lo} came out"
+                        f" {got.left} {got.center} {got.right}, enumeration says"
+                        f" {left} {lo} {hi}"
+                        f" (reproduce: farey triple {lo.num} {order}"
+                        f" --method {method})"
+                    )
+        left = lo
+    if not report.ok:
+        return order, centers, (
+            f"order {order}: {report.failure} at index {report.index}"
+            f" (reproduce: farey list {order})"
+        )
     return order, centers, None
 
 
@@ -98,7 +106,7 @@ def _verify_results(orders: range, cap: int, jobs: int):
         return
     import signal
     from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # A worker that SIGINT reaches dies of it quietly, even between tasks,
     # where Python would print a KeyboardInterrupt traceback; the parent
@@ -114,6 +122,10 @@ def _verify_results(orders: range, cap: int, jobs: int):
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    except BrokenExecutor as exc:
+        # A worker died on its own (a signal to it alone, the kernel out of
+        # memory): reported like a domain error, in one line with exit 1.
+        raise DomainError(f"a verify worker died: {exc}") from None
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -191,14 +203,6 @@ def _mean_text(total: int, count: int) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-# |F_N| ~ (3/pi^2) N^2; used only to skip hopeless oracle cells quickly.
-_FAREY_DENSITY_PPM = 303_964
-
-
-def _estimated_terms(order: int) -> int:
-    return order * order * _FAREY_DENSITY_PPM // 1_000_000
-
-
 def _bench_order(order: int, reps: int, cap: int) -> dict:
     from random import Random
 
@@ -220,21 +224,16 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
         for n in queries
     ]
     oracle_cell: dict | str
-    estimate = _estimated_terms(order)
-    if order + 1 > cap or estimate > cap:
+    # |F_order| >= order + 1 skips a huge order before its length is counted.
+    if order + 1 > cap or (length := cli._farey_length(order)) > cap:
         oracle_cell = "skipped"
     else:
-        # Each oracle query enumerates F_order from scratch, so bound the
-        # total enumeration effort for the cell by one cap's worth of terms.
-        budget = max(1, min(reps, cap // max(1, estimate)))
-        times = []
-        try:
-            for n in queries[:budget]:
-                times.append(_time_ns(lambda n=n: cli.triple_by_scan(n, order, cap)))
-        except CapExceededError:
-            oracle_cell = "skipped"
-        else:
-            oracle_cell = _timing_summary(times)
+        # Each oracle query walks F_order from its start, so bound the total
+        # walk for the cell by one cap's worth of terms.
+        budget = max(1, min(reps, cap // length))
+        oracle_cell = _timing_summary(
+            [_time_ns(lambda n=n: cli.triple_by_scan(n, order, cap)) for n in queries[:budget]]
+        )
     return {
         "order": order,
         "inverse": _timing_summary(inverse_times),

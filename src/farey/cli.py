@@ -14,9 +14,10 @@ With --json every command emits one canonical document: sorted keys, compact
 separators, and no floats anywhere (timings are integer nanoseconds, means
 are decimal strings), so parse/re-serialize round-trips are byte-identical.
 
-Enumeration commands refuse to materialize more than a cap's worth of terms:
---cap wins over the FAREY_CAP environment variable, which wins over the
-10,000,000-term default.  Neither may exceed MAX_CAP (100,000,000 terms).
+Enumeration commands refuse a sequence of more than a cap's worth of terms,
+counted exactly before the first term is made: --cap wins over the FAREY_CAP
+environment variable, which wins over the 10,000,000-term default.  Neither
+may exceed MAX_CAP (100,000,000 terms).
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ _LAZY = {
     "triple_via_cf": "cf",
     "left_neighbor": "neighbors",
     "right_neighbor": "neighbors",
-    "enumerate_farey": "oracle",
+    "PropertyReport": "oracle",
+    "_certified": "oracle",
+    "_farey_length": "oracle",
+    "_farey_walk": "oracle",
     "triple_by_scan": "oracle",
-    "verify_properties": "oracle",
     "cmd_list": "bulk",
     "cmd_verify": "bulk",
     "cmd_bench": "bulk",
@@ -202,10 +205,10 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return value
 
 
-def _emit(text: str) -> None:
-    """Write one line of results to stdout."""
+def _emit(text: str, end: str = "\n") -> None:
+    """Write one line of results, or with end="" a piece of one, to stdout."""
     try:
-        print(text)
+        print(text, end=end)
     except OSError as exc:
         raise OutputError(exc) from exc
 

@@ -4,12 +4,14 @@ Everything fast in this package is tested against the sequences produced
 here.  Enumeration uses the standard next-term recurrence: from consecutive
 a/b < c/d, the following term is (k*c - a)/(k*d - b) with k = (N + b) // d,
 which is O(1) per term and provably correct from the mediant property.
+Only `enumerate_farey` keeps the terms; the rest walk them once, after the
+cap is checked against the exact length |F_N|.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
 from .fraction import Fraction, cross_det
@@ -38,9 +40,14 @@ class FareySequence(Record):
 
 
 def iterate_farey(order: int) -> Iterator[Fraction]:
-    """Yield the terms of F_order in increasing order, one at a time."""
+    """Yield the terms of F_order in increasing order, one at a time; the
+    order is checked at the call."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
+    return _recurrence(order)
+
+
+def _recurrence(order: int) -> Iterator[Fraction]:
     a, b, c, d = 0, 1, 1, order
     yield Fraction._from_coprime(0, 1)
     while c <= order:
@@ -49,25 +56,46 @@ def iterate_farey(order: int) -> Iterator[Fraction]:
         yield Fraction._from_coprime(a, b)
 
 
-def enumerate_farey(order: int, cap: int | None = DEFAULT_CAP) -> FareySequence:
-    """Materialize F_order, refusing to build more than ``cap`` terms.
+def _farey_length(order: int) -> int:
+    """|F_order| = 1 + Phi(order), Phi(n) = phi(1) + ... + phi(n), in
+    O(order^(3/4)) steps: sorting the a/b with 1 <= a <= b <= n by their gcd g
+    gives Phi(n // 1) + ... + Phi(n // n) = n(n + 1)/2, and the g that share
+    a quotient n // g form one run."""
+    known: dict[int, int] = {}
 
-    |F_order| >= order + 1, so absurdly large orders are rejected before
-    any work happens; borderline ones abort as soon as the running count
-    passes the cap.
-    """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    if cap is not None and order + 1 > cap:
-        raise CapExceededError(
-            f"F_{order} has at least {order + 1} terms, above the cap of {cap}"
-        )
-    terms = []
-    for f in iterate_farey(order):
-        if cap is not None and len(terms) >= cap:
+    def phi_sum(n: int) -> int:
+        total = n * (n + 1) // 2
+        g = 2
+        while g <= n:
+            q = n // g
+            last = n // q
+            total -= (last - g + 1) * (known[q] if q in known else phi_sum(q))
+            g = last + 1
+        known[n] = total
+        return total
+
+    return 1 + phi_sum(order)
+
+
+def _farey_walk(order: int, cap: int | None) -> Iterator[Fraction]:
+    """iterate_farey(order), once F_order is known to fit in ``cap`` terms
+    (None: no cap).  |F_order| >= order + 1 refuses huge orders at once; the
+    exact length settles the rest when 1 + order(order + 1)/2 is above cap."""
+    terms = iterate_farey(order)  # refuses an order below 1 before any cap
+    if cap is not None:
+        if order + 1 > cap:
+            raise CapExceededError(
+                f"F_{order} has at least {order + 1} terms, above the cap of {cap}"
+            )
+        if 1 + order * (order + 1) // 2 > cap and _farey_length(order) > cap:
             raise CapExceededError(f"F_{order} exceeds the cap of {cap} terms")
-        terms.append(f)
-    return FareySequence(order, tuple(terms))
+    return terms
+
+
+def enumerate_farey(order: int, cap: int | None = DEFAULT_CAP) -> FareySequence:
+    """Materialize F_order, refusing before the first term a sequence of
+    more than ``cap`` terms."""
+    return FareySequence(order, tuple(_farey_walk(order, cap)))
 
 
 class PropertyReport(Record):
@@ -119,19 +147,26 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
     l.den + r.den < 2N leaves k = 1; numerators are >= 0 because the terms
     rise from 0/1.
     """
-    order, terms = seq.order, seq.terms
+    report = PropertyReport(ok=True)
+    for _ in _certified(seq.order, seq.terms, report):
+        pass
+    return report
 
-    def fail(message: str, index: int) -> PropertyReport:
-        return PropertyReport(ok=False, failure=message, index=index)
 
-    if not terms or terms[0] != Fraction(0, 1):
+def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) -> Iterator:
+    """Yield each adjacent pair of ``terms`` once it passes the checks of
+    verify_properties.  The first failure ends the walk and is written into
+    ``report``; a clean walk writes the counts there instead."""
+
+    def fail(message: str, index: int) -> None:
+        report.ok, report.failure, report.index = False, message, index
+
+    terms = iter(terms)
+    x = next(terms, None)
+    if x != Fraction(0, 1):
         return fail("first term must be 0/1", 0)
-    if terms[-1] != Fraction(1, 1):
-        return fail("last term must be 1/1", len(terms) - 1)
-
-    centers = 0
-    for i in range(len(terms) - 1):
-        x, y = terms[i], terms[i + 1]
+    i = centers = 0
+    for y in terms:
         d = cross_det(x, y)
         if d != 1:
             return fail(f"adjacent pair {x}, {y} has determinant {d}, expected 1", i)
@@ -141,10 +176,13 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
             return fail(f"adjacent denominators of {x}, {y} sum to <= {order}", i)
         if i and x.den == order:
             centers += 1
-
+        yield x, y
+        x = y
+        i += 1
+    if x != Fraction(1, 1):
+        return fail("last term must be 1/1", i)
     # Every pair passed, so each interior term is a certified mediant.
-    pairs = len(terms) - 1
-    return PropertyReport(ok=True, pairs=pairs, mediants=pairs - 1, centers=centers)
+    report.pairs, report.mediants, report.centers = i, i - 1, centers
 
 
 def scan_triple(seq: FareySequence, n: int) -> FareyTriple:
@@ -159,9 +197,15 @@ def scan_triple(seq: FareySequence, n: int) -> FareyTriple:
 
 
 def triple_by_scan(n: int, order: int, cap: int | None = DEFAULT_CAP) -> FareyTriple:
-    """Enumerate F_order and read off the triple around n/order.
+    """Walk F_order up to n/order and read off the triple around it.
 
     Quadratic in ``order``; exists as the ground truth the O(log) paths are
-    compared against.
+    compared against.  The cap applies to the whole of F_order.
     """
-    return scan_triple(enumerate_farey(order, cap), n)
+    terms = _farey_walk(order, cap)
+    check_center(n, order)
+    left = None
+    for f in terms:
+        if f.num == n and f.den == order:
+            return FareyTriple(left, f, next(terms), order)
+        left = f

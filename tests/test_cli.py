@@ -8,6 +8,8 @@ runs against ``src/`` on ``PYTHONPATH``.
 """
 
 import concurrent.futures
+import errno
+import hashlib
 import io
 import json
 import os
@@ -16,6 +18,8 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
@@ -25,8 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import farey.bulk as bulk
 import farey.cli as cli
-from farey import FareySequence, Fraction, right_neighbor
+from farey import Fraction, enumerate_farey, iterate_farey, right_neighbor
 from farey.cli import main
 from helpers import totient_sum
 
@@ -105,6 +110,19 @@ class TestList:
             "count": 7,
             "terms": GOLDEN_LISTS[4].split(),
         }
+
+    @pytest.mark.parametrize("chunk, top", [(bulk._CHUNK, 200), (3, 30)])
+    def test_bytes_match_a_rendering_of_the_enumeration(self, capsys, monkeypatch, chunk, top):
+        # The chunked writes put out what rendering the whole sequence at
+        # once would; a chunk of 3 lands the end on a chunk boundary too.
+        monkeypatch.setattr(bulk, "_CHUNK", chunk)
+        for order in range(1, top + 1):
+            terms = [str(t) for t in enumerate_farey(order).terms]
+            document = {"order": order, "count": len(terms), "terms": terms}
+            text = " ".join(terms) + "\n"
+            assert run_cli(capsys, "list", str(order)) == (0, text, "")
+            text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+            assert run_cli(capsys, "--json", "list", str(order)) == (0, text, "")
 
 
 class TestTriple:
@@ -443,6 +461,30 @@ class TestExitCodesAndCap:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("list", "25"),
+            ("--json", "list", "25"),
+            ("verify", "25"),
+            ("--json", "verify", "25"),
+            ("triple", "9", "25", "--method", "oracle"),
+        ],
+        ids=" ".join,
+    )
+    def test_cap_boundary_is_the_exact_length(self, capsys, argv):
+        length = len(enumerate_farey(25))
+        code, out, err = run_cli(capsys, "--cap", str(length), *argv)
+        assert (code, err) == (0, "")
+        assert out
+        code, out, err = run_cli(capsys, "--cap", str(length - 1), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: F_25 exceeds the cap of {length - 1} terms\n"
+        if "verify" not in argv:  # verify stops at F_9 with a cap of 25
+            code, out, err = run_cli(capsys, "--cap", "25", *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: F_25 has at least 26 terms, above the cap of 25\n"
+
     def test_exponent_notation_for_cap(self, capsys):
         assert run_cli(capsys, "--cap", "10^2", "list", "9")[0] == 0
 
@@ -452,7 +494,7 @@ class TestExitCodesAndCap:
         def unreachable(*args):
             raise AssertionError("enumerated past a refused cap")
 
-        monkeypatch.setattr(cli, "enumerate_farey", unreachable)
+        monkeypatch.setattr(cli, "_farey_walk", unreachable)
         if where == "env":
             monkeypatch.setenv("FAREY_CAP", cap)
             argv = ("list", "10^5")
@@ -470,9 +512,9 @@ class TestExitCodesAndCap:
 
         def stub(order, cap):
             asked.append(cap)
-            return FareySequence(order, (Fraction(0, 1), Fraction(1, 1)))
+            return iter((Fraction(0, 1), Fraction(1, 1)))
 
-        monkeypatch.setattr(cli, "enumerate_farey", stub)
+        monkeypatch.setattr(cli, "_farey_walk", stub)
         if where == "env":
             monkeypatch.setenv("FAREY_CAP", "10^8")
             argv = ("list", "1")
@@ -563,6 +605,27 @@ class TestExitCodesAndCap:
         assert "cap of 60" in err
         assert InlinePool.submitted < 20
 
+    def test_a_worker_that_dies_is_one_error_line(self, capsys, monkeypatch):
+        shutdowns = []
+
+        class DyingPool(InlinePool):
+            """A pool whose every worker has died: each future raises."""
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_exception(BrokenProcessPool("a worker was terminated abruptly"))
+                return future
+
+            def shutdown(self, wait, cancel_futures):
+                shutdowns.append((wait, cancel_futures))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(capsys, "verify", "40", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: a verify worker died: a worker was terminated abruptly\n"
+        assert shutdowns == [(True, True)]
+
     def test_help_returns_zero(self, capsys):
         code, out, err = run_cli(capsys, "--help")
         assert code == 0
@@ -652,27 +715,113 @@ def _argv(draw):
     return ["--cap", "60", *([command] if command else []), *args, *sum(flags, [])]
 
 
+class _FailingStdout(io.StringIO):
+    """A stdout that takes ``room`` characters, then fails every write with
+    the OSError of ``code`` (EPIPE makes it a BrokenPipeError)."""
+
+    def __init__(self, room, code):
+        super().__init__()
+        self.room, self.code, self.failed = room, code, False
+
+    def write(self, text):
+        if self.failed or len(text) > self.room:
+            self.failed = True
+            raise OSError(self.code, os.strerror(self.code))
+        self.room -= len(text)
+        return super().write(text)
+
+
+# None for a stdout that takes everything, else (room, errno) of a failing one.
+_stdouts = st.one_of(
+    st.none(), st.tuples(st.integers(0, 400), st.sampled_from((errno.EPIPE, errno.ENOSPC)))
+)
+
+
 def test_exit_code_contract_holds_for_random_argv(monkeypatch):
     """Any argv ends in 0, 1, 2 or 3, never in an exception, and explains
-    itself on stderr whenever it does not succeed."""
+    itself on stderr whenever it does not succeed, unless the reader closed
+    the pipe; also when stdout fails part-way."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.delenv("FAREY_CAP", raising=False)
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(_argv())
-    def check(argv):
+    @given(_argv(), _stdouts)
+    def check(argv, stdout):
         InlinePool.submitted = 0
-        out, err = io.StringIO(), io.StringIO()
+        out = io.StringIO() if stdout is None else _FailingStdout(*stdout)
+        err = io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2, 3)
-        if code != 0:
+        pipe_broke = stdout is not None and stdout[1] == errno.EPIPE and out.failed
+        if code != 0 and not pipe_broke:
             assert err.getvalue().strip()
 
     try:
         check()
     finally:
         InlinePool.submitted = 0
+
+
+class _Sink:
+    """Stands in for stdout and keeps only a byte count and a hash of what
+    it is given, so the output itself holds no memory."""
+
+    def __init__(self):
+        self.size = 0
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.size += len(data)
+        self.hash.update(data)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _traced_run(argv):
+    """(exit code, sink, peak traced bytes) of main(argv) writing to a _Sink;
+    a small run of the same command first loads what it imports."""
+    with redirect_stdout(_Sink()):
+        main([argv[0], "3"])
+    sink = _Sink()
+    with redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, sink, peak
+
+
+class TestConstantMemory:
+    """list and verify hold O(1) terms, whatever the order."""
+
+    def test_list_2000_peaks_under_2_mib(self):
+        code, sink, peak = _traced_run(["list", "2000"])
+        assert code == 0
+        terms = iterate_farey(2000)
+        first = str(next(terms)).encode()
+        want, size = hashlib.sha256(first), len(first)
+        for term in terms:
+            piece = f" {term}".encode()
+            want.update(piece)
+            size += len(piece)
+        want.update(b"\n")
+        assert (sink.size, sink.hash.hexdigest()) == (size + 1, want.hexdigest())
+        assert peak < 2 * 2**20
+
+    def test_verify_peak_does_not_grow_with_the_order(self):
+        peaks = {}
+        for order in (60, 120):
+            code, sink, peaks[order] = _traced_run(["verify", str(order)])
+            line = f"OK: {order - 1} orders, {totient_sum(2, order):,} triples, 0 mismatches\n"
+            assert code == 0
+            assert sink.hash.hexdigest() == hashlib.sha256(line.encode()).hexdigest()
+        assert peaks[120] <= 1.5 * peaks[60], peaks
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -767,7 +916,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 19 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 22 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(

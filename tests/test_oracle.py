@@ -15,6 +15,7 @@ from farey import (
     triple_by_scan,
     verify_properties,
 )
+from farey import oracle
 from helpers import sweep, totient_sum
 
 GOLDEN_ROWS = {
@@ -80,6 +81,47 @@ class TestCap:
 
     def test_none_disables_cap(self):
         assert len(_terms(40, cap=None)) == 1 + totient_sum(1, 40)
+
+    @pytest.mark.parametrize("order", [3, 5, 25, 100])
+    def test_boundary_is_the_exact_length(self, order):
+        length = len(enumerate_farey(order, None))
+        assert len(enumerate_farey(order, length)) == length
+        with pytest.raises(CapExceededError, match=f"^F_{order} exceeds the cap of {length - 1} terms$"):
+            enumerate_farey(order, length - 1)
+
+    def test_quick_reject_message(self):
+        with pytest.raises(CapExceededError, match="^F_25 has at least 26 terms, above the cap of 25$"):
+            enumerate_farey(25, cap=25)
+
+    def test_refused_before_the_first_term(self, monkeypatch):
+        made, real = [], oracle._recurrence
+
+        def recording(order):
+            for term in real(order):
+                made.append(term)
+                yield term
+
+        monkeypatch.setattr(oracle, "_recurrence", recording)
+        with pytest.raises(CapExceededError):
+            enumerate_farey(25, cap=199)
+        assert made == []
+
+    def test_length_is_counted_only_past_the_trivial_bound(self, monkeypatch):
+        # 1 + N(N+1)/2 terms is an upper bound, so a cap above it needs no count.
+        def uncounted(order):
+            raise AssertionError("counted F_24 under a cap it cannot reach")
+
+        monkeypatch.setattr(oracle, "_farey_length", uncounted)
+        assert len(enumerate_farey(24, cap=1 + 24 * 25 // 2)) == 1 + totient_sum(1, 24)
+
+
+class TestLength:
+    def test_matches_the_enumeration_to_300(self):
+        for order in range(1, 301):
+            assert oracle._farey_length(order) == len(enumerate_farey(order, None)), order
+
+    def test_matches_the_totient_sum_at_10_to_the_4(self):
+        assert oracle._farey_length(10**4) == 1 + totient_sum(1, 10**4)
 
 
 class TestVerifyProperties:
@@ -193,6 +235,13 @@ class TestScanTriple:
     def test_honors_cap(self):
         with pytest.raises(CapExceededError):
             triple_by_scan(9, 25, cap=10)
+
+    def test_walk_matches_the_enumerated_scan_to_60(self):
+        for order in range(2, 61):
+            seq = enumerate_farey(order)
+            for f in seq.terms[1:-1]:
+                if f.den == order:
+                    assert triple_by_scan(f.num, order) == scan_triple(seq, f.num)
 
     @given(st.integers(min_value=2, max_value=60))
     def test_windows_are_consecutive_terms(self, order):
