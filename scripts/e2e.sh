@@ -45,6 +45,8 @@ check "cap at exact length"    0 "0/1 1/5 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 1/1" f
 check "cap exceeded"           2 ""                             farey --cap 10 list 5
 check "cap refuses oracle walk" 2 ""                            farey --cap 100 triple 9 25 --method oracle
 check "cap env honored"        2 ""                             env FAREY_CAP=10 farey list 5
+check "bad cap env unread by cf" 0 "[0,2,1,3,2]"                env FAREY_CAP=lots farey cf 9/25
+check "bad cap env stops list" 1 ""                             env FAREY_CAP=lots farey list 5
 
 out="$(env -u FAREY_CAP farey bench 10^12 --reps 3 --json 2>/dev/null)"
 if [[ $? == 0 && "$out" == *'"oracle":"skipped"'* ]]; then

@@ -4,9 +4,9 @@ Each walks whole sequences or makes many queries, so a one-shot query has
 no use for this code: `farey.cli` imports this module only when one of these
 commands runs.  `list` and `verify` walk each sequence once, term by term,
 after the oracle has checked its exact length against the cap, so they hold
-O(1) terms whatever the order.  The library calls go through `farey.cli`
-(``cli.right_neighbor``, ``cli._farey_walk``, ``cli._bench_order``, ...), so a
-name patched there is the one these commands call.
+O(1) terms whatever the order.  Queries, walks and bench rows go through
+`farey.cli` (``cli.right_neighbor``, ``cli._farey_walk``, ``cli._bench_order``,
+...), so a name patched there is the one these commands call.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from time import perf_counter_ns
 from . import cli
 from .errors import DomainError
 from .fraction import Fraction
+from .oracle import PropertyReport, _certified, _farey_length
 
 
 # Terms per write of `list`: enough to keep the writes few, few enough that
@@ -27,12 +28,12 @@ from .fraction import Fraction
 _CHUNK = 4096
 
 
-def cmd_list(args: argparse.Namespace, cap: int) -> int:
+def cmd_list(args: argparse.Namespace) -> int:
     order = args.order
-    terms = map(str, cli._farey_walk(order, cap))
+    terms = map(str, cli._farey_walk(order, cli._resolve_cap(args)))
     if args.json:
         # The canonical document, written in pieces: its terms need no escape.
-        head = f'{{"count":{cli._farey_length(order)},"order":{order},"terms":["'
+        head = f'{{"count":{_farey_length(order)},"order":{order},"terms":["'
         sep, tail = '","', '"]}'
     else:
         head, sep, tail = "", " ", ""
@@ -44,29 +45,29 @@ def cmd_list(args: argparse.Namespace, cap: int) -> int:
     return cli.EXIT_OK
 
 
-def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
+def _verify_order(order: int, cap: int) -> tuple[int, str | None]:
     """Check one order end to end, in one walk of F_order.
 
     Each adjacent pair is certified against the defining properties (see
     `oracle.verify_properties`), then the successor and predecessor queries
     must reproduce it.  At each center, once both of its pairs have passed,
     each direct triple construction must reproduce the centered triple.
-    Returns (order, centered triples checked, failure message or None).
+    Returns (centered triples checked, failure message or None).
     """
     right_neighbor, left_neighbor = cli.right_neighbor, cli.left_neighbor
-    report = cli.PropertyReport(ok=True)
+    report = PropertyReport(ok=True)
     centers = 0
     left = None
-    for lo, hi in cli._certified(order, cli._farey_walk(order, cap), report):
+    for lo, hi in _certified(order, cli._farey_walk(order, cap), report):
         after = right_neighbor(lo, order).neighbor
         if after != hi:
-            return order, centers, (
+            return centers, (
                 f"order {order}: successor of {lo} came out {after},"
                 f" enumeration says {hi} (reproduce: farey next {lo} {order})"
             )
         before = left_neighbor(hi, order).neighbor
         if before != lo:
-            return order, centers, (
+            return centers, (
                 f"order {order}: predecessor of {hi} came out {before},"
                 f" enumeration says {lo} (reproduce: farey prev {hi} {order})"
             )
@@ -77,7 +78,7 @@ def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
             for method in cli._CONSTRUCTIONS:
                 got = cli._triple_by_method(lo.num, order, method, None)
                 if (got.left, got.center, got.right) != expected:
-                    return order, centers, (
+                    return centers, (
                         f"order {order}: {method} triple at {lo} came out"
                         f" {got.left} {got.center} {got.right}, enumeration says"
                         f" {left} {lo} {hi}"
@@ -86,11 +87,11 @@ def _verify_order(order: int, cap: int) -> tuple[int, int, str | None]:
                     )
         left = lo
     if not report.ok:
-        return order, centers, (
+        return centers, (
             f"order {order}: {report.failure} at index {report.index}"
             f" (reproduce: farey list {order})"
         )
-    return order, centers, None
+    return centers, None
 
 
 def _verify_results(orders: range, cap: int, jobs: int):
@@ -130,11 +131,10 @@ def _verify_results(orders: range, cap: int, jobs: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def cmd_verify(args: argparse.Namespace, cap: int) -> int:
-    if args.max_order < 2:
-        raise DomainError(f"max order must be >= 2, got {args.max_order}")
-    if args.jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {args.jobs}")
+def cmd_verify(args: argparse.Namespace) -> int:
+    cap = cli._resolve_cap(args)
+    cli._bounded(args.max_order, "max order", 2)
+    cli._bounded(args.jobs, "jobs", 1)
     orders = range(2, args.max_order + 1)
     # More workers than CPUs or orders would only add processes.  (len() of
     # the range would overflow for a huge max order.)
@@ -144,7 +144,7 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     failure = None
     results = _verify_results(orders, cap, jobs)
     try:
-        for _, centers, message in results:
+        for centers, message in results:
             checked += 1
             triples_checked += centers
             if message is not None:
@@ -187,11 +187,9 @@ def _time_ns(fn, calls: int = 1) -> int:
 
 
 def _timing_summary(times: list[int]) -> dict:
-    import statistics
-
     return {
         "min_ns": min(times),
-        "median_ns": statistics.median_low(times),
+        "median_ns": sorted(times)[(len(times) - 1) // 2],
         "max_ns": max(times),
         "reps": len(times),
     }
@@ -206,45 +204,38 @@ def _mean_text(total: int, count: int) -> str:
 def _bench_order(order: int, reps: int, cap: int) -> dict:
     from random import Random
 
-    triple, chain_triple, triple_via_cf = cli.triple, cli._chain_triple, cli.triple_via_cf
+    by_method = cli._triple_by_method
     rng = Random(f"bench:{order}")
     queries = []
     while len(queries) < reps:
         n = rng.randrange(1, order) if order > 2 else 1
         if math.gcd(n, order) == 1:
             queries.append(n)
-    inverse_times = [_time_ns(lambda n=n: triple(n, order), _BATCH) for n in queries]
-    chain_times = [_time_ns(lambda n=n: chain_triple(n, order), _BATCH) for n in queries]
-    cf_times = [
-        _time_ns(lambda n=n: triple_via_cf(Fraction._from_coprime(n, order)), _BATCH)
-        for n in queries
-    ]
-    lengths = [
-        len(cli.reduction_chain(Fraction._from_coprime(n, order)).quotients)
-        for n in queries
-    ]
-    oracle_cell: dict | str
+    row: dict = {"order": order}
+    for method in cli._CONSTRUCTIONS:
+        row[method] = _timing_summary(
+            [_time_ns(lambda n=n: by_method(n, order, method, None), _BATCH) for n in queries]
+        )
     # |F_order| >= order + 1 skips a huge order before its length is counted.
-    if order + 1 > cap or (length := cli._farey_length(order)) > cap:
-        oracle_cell = "skipped"
+    if order + 1 > cap or (length := _farey_length(order)) > cap:
+        row["oracle"] = "skipped"
     else:
         # Each oracle query walks F_order from its start, so bound the total
         # walk for the cell by one cap's worth of terms.
         budget = max(1, min(reps, cap // length))
-        oracle_cell = _timing_summary(
-            [_time_ns(lambda n=n: cli.triple_by_scan(n, order, cap)) for n in queries[:budget]]
+        row["oracle"] = _timing_summary(
+            [_time_ns(lambda n=n: by_method(n, order, "oracle", cap)) for n in queries[:budget]]
         )
-    return {
-        "order": order,
-        "inverse": _timing_summary(inverse_times),
-        "chain": _timing_summary(chain_times),
-        "cf": _timing_summary(cf_times),
-        "oracle": oracle_cell,
-        "chain_length": {"mean": _mean_text(sum(lengths), len(lengths)), "max": max(lengths)},
-    }
+    lengths = [
+        len(cli.reduction_chain(Fraction._from_coprime(n, order)).quotients)
+        for n in queries
+    ]
+    row["chain_length"] = {"mean": _mean_text(sum(lengths), len(lengths)), "max": max(lengths)}
+    return row
 
 
-def cmd_bench(args: argparse.Namespace, cap: int) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
+    cap = cli._resolve_cap(args)
     try:
         orders = [cli._parse_count(token) for token in args.orders.split(",")]
     except DomainError:
@@ -252,14 +243,8 @@ def cmd_bench(args: argparse.Namespace, cap: int) -> int:
     if not orders:
         raise DomainError("need at least one order to benchmark")
     for order in orders:
-        if order < 2:
-            raise DomainError(f"order must be >= 2, got {order}")
-    if args.reps < 1:
-        raise DomainError(f"reps must be >= 1, got {args.reps}")
-    if args.reps > cli.MAX_REPS:
-        raise DomainError(
-            f"reps must be <= {cli.MAX_REPS:,}, got {cli._shown(str(args.reps))}"
-        )
+        cli._bounded(order, "order", 2)
+    cli._bounded(args.reps, "reps", 1, cli.MAX_REPS)
     rows = [cli._bench_order(order, args.reps, cap) for order in orders]
     if args.json:
         cli._print_json({"cap": cap, "reps": args.reps, "rows": rows})

@@ -53,9 +53,6 @@ _LAZY = {
     "triple_via_cf": "cf",
     "left_neighbor": "neighbors",
     "right_neighbor": "neighbors",
-    "PropertyReport": "oracle",
-    "_certified": "oracle",
-    "_farey_length": "oracle",
     "_farey_walk": "oracle",
     "triple_by_scan": "oracle",
     "cmd_list": "bulk",
@@ -156,37 +153,34 @@ def _parse_count(text: str) -> int:
     return value
 
 
-def _int_token(text: str) -> int:
-    try:
-        return _parse_count(text)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _parse_fraction(text: str) -> Fraction:
+    limit = _digit_limit()
+    for literal in text.split("/"):
+        _check_digits(literal, literal, limit)
+    return Fraction.parse(text)
 
 
-def _check_cap(value: int) -> None:
-    if value > MAX_CAP:
-        raise DomainError(f"cap must be <= {MAX_CAP:,}, got {_shown(str(value))}")
-
-
-def _cap_token(text: str) -> int:
-    value = _int_token(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"cap must be >= 1, got {value}")
-    try:
-        _check_cap(value)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _bounded(value: int, what: str, low: int, high: int | None = None) -> int:
+    """value, unless it is below low or above high: then a DomainError
+    naming ``what``."""
+    if value < low:
+        raise DomainError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise DomainError(f"{what} must be <= {high:,}, got {_shown(str(value))}")
     return value
 
 
-def _fraction_token(text: str) -> Fraction:
-    try:
-        limit = _digit_limit()
-        for literal in text.split("/"):
-            _check_digits(literal, literal, limit)
-        return Fraction.parse(text)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _token(parse):
+    """An argparse type that parses a token with ``parse``; its DomainError
+    becomes the usage error argparse reports."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
@@ -201,8 +195,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
         value = 0
     if value < 1:
         raise DomainError(f"FAREY_CAP must be a positive integer, got {env!r}")
-    _check_cap(value)
-    return value
+    return _bounded(value, "cap", 1, MAX_CAP)
 
 
 def _emit(text: str, end: str = "\n") -> None:
@@ -236,7 +229,8 @@ def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> Farey
     return _cli.triple_via_cf(Fraction._from_coprime(n, order))
 
 
-def cmd_triple(args: argparse.Namespace, cap: int) -> int:
+def cmd_triple(args: argparse.Namespace) -> int:
+    cap = _resolve_cap(args) if args.method == "oracle" else None
     result = _triple_by_method(args.num, args.order, args.method, cap)
     if args.json:
         _print_json(
@@ -262,7 +256,7 @@ def _neighbor_payload(result, side: str) -> dict:
     }
 
 
-def cmd_next(args: argparse.Namespace, cap: int) -> int:
+def cmd_next(args: argparse.Namespace) -> int:
     result = _cli.right_neighbor(args.fraction, args.order)
     if args.json:
         _print_json(_neighbor_payload(result, "right"))
@@ -271,7 +265,7 @@ def cmd_next(args: argparse.Namespace, cap: int) -> int:
     return EXIT_OK
 
 
-def cmd_prev(args: argparse.Namespace, cap: int) -> int:
+def cmd_prev(args: argparse.Namespace) -> int:
     result = _cli.left_neighbor(args.fraction, args.order)
     if args.json:
         _print_json(_neighbor_payload(result, "left"))
@@ -280,7 +274,7 @@ def cmd_prev(args: argparse.Namespace, cap: int) -> int:
     return EXIT_OK
 
 
-def cmd_cf(args: argparse.Namespace, cap: int) -> int:
+def cmd_cf(args: argparse.Namespace) -> int:
     expansion = _cli.cf_expand(args.fraction)
     if args.json:
         _print_json(
@@ -291,7 +285,7 @@ def cmd_cf(args: argparse.Namespace, cap: int) -> int:
     return EXIT_OK
 
 
-def cmd_chain(args: argparse.Namespace, cap: int) -> int:
+def cmd_chain(args: argparse.Namespace) -> int:
     chain = reduction_chain(args.fraction)
     if args.json:
         _print_json(
@@ -320,7 +314,7 @@ def _add_common(parser: argparse.ArgumentParser, root: bool = False) -> None:
     )
     parser.add_argument(
         "--cap",
-        type=_cap_token,
+        type=_token(lambda text: _bounded(_parse_count(text), "cap", 1, MAX_CAP)),
         default=None if root else argparse.SUPPRESS,
         metavar="TERMS",
         help=f"refuse to enumerate more than this many terms (default"
@@ -334,16 +328,17 @@ def build_parser() -> _Parser:
         description="Exact Farey sequence queries: triples, neighbors,"
         " continued fractions, verification, benchmarks.",
     )
+    count, fraction = _token(_parse_count), _token(_parse_fraction)
     _add_common(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("list", help="print every term of the sequence of a given order")
-    p.add_argument("order", type=_int_token)
+    p.add_argument("order", type=count)
     _add_common(p)
 
     p = sub.add_parser("triple", help="the term n/order and its two neighbors")
-    p.add_argument("num", type=_int_token)
-    p.add_argument("order", type=_int_token)
+    p.add_argument("num", type=count)
+    p.add_argument("order", type=count)
     p.add_argument(
         "--method",
         choices=(*_CONSTRUCTIONS, "oracle"),
@@ -353,31 +348,31 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("next", help="the term immediately after a fraction")
-    p.add_argument("fraction", type=_fraction_token)
-    p.add_argument("order", type=_int_token)
+    p.add_argument("fraction", type=fraction)
+    p.add_argument("order", type=count)
     _add_common(p)
 
     p = sub.add_parser("prev", help="the term immediately before a fraction")
-    p.add_argument("fraction", type=_fraction_token)
-    p.add_argument("order", type=_int_token)
+    p.add_argument("fraction", type=fraction)
+    p.add_argument("order", type=count)
     _add_common(p)
 
     p = sub.add_parser("cf", help="canonical continued fraction of a fraction")
-    p.add_argument("fraction", type=_fraction_token)
+    p.add_argument("fraction", type=fraction)
     _add_common(p)
 
     p = sub.add_parser("chain", help="quotient chain driving a fraction to numerator 1")
-    p.add_argument("fraction", type=_fraction_token)
+    p.add_argument("fraction", type=fraction)
     _add_common(p)
 
     p = sub.add_parser(
         "verify",
         help="cross-check fast paths against enumeration for all orders up to a bound",
     )
-    p.add_argument("max_order", type=_int_token)
+    p.add_argument("max_order", type=count)
     p.add_argument(
         "--jobs",
-        type=_int_token,
+        type=count,
         default=1,
         help="worker processes (default 1; at most one per CPU and per order)",
     )
@@ -387,7 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("orders", help="comma-separated orders; 10^12 notation allowed")
     p.add_argument(
         "--reps",
-        type=_int_token,
+        type=count,
         default=25,
         help=f"queries per cell (default 25, at most {MAX_REPS:,})",
     )
@@ -409,8 +404,7 @@ def _run(argv: list[str] | None) -> int:
     if sys.stdout is None:
         raise OutputError("stdout is closed")
     try:
-        cap = _resolve_cap(args)
-        return getattr(_cli, f"cmd_{args.command}")(args, cap)
+        return getattr(_cli, f"cmd_{args.command}")(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -364,6 +365,32 @@ class TestBench:
             assert set(row["chain_length"]) == {"mean", "max"}
             assert isinstance(row["chain_length"]["mean"], str)
 
+    def test_every_cell_times_the_triple_route(self, capsys, monkeypatch):
+        # Each cell times what `farey triple --method M` runs, and nothing else.
+        real, methods = cli._triple_by_method, set()
+
+        def recorder(n, order, method, cap):
+            methods.add(method)
+            return real(n, order, method, cap)
+
+        monkeypatch.setattr(cli, "_triple_by_method", recorder)
+        code, out, _ = run_cli(capsys, "bench", "5", "--reps", "2", "--json")
+        assert code == 0
+        assert methods == {"inverse", "chain", "cf", "oracle"}
+
+    @pytest.mark.parametrize(
+        "times, median", [([5, 1, 4, 2], 2), ([3, 9, 1], 3), ([7], 7), ([2, 2, 8, 1, 9, 4], 2)]
+    )
+    def test_timing_summary_takes_the_low_median(self, times, median):
+        summary = bulk._timing_summary(times)
+        assert summary["median_ns"] == median == statistics.median_low(times)
+        assert summary == {
+            "min_ns": min(times),
+            "median_ns": median,
+            "max_ns": max(times),
+            "reps": len(times),
+        }
+
     def test_low_cap_skips_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "--cap", "3", "bench", "5", "--reps", "2", "--json")
         assert code == 0
@@ -453,6 +480,35 @@ class TestExitCodesAndCap:
         code, _, err = run_cli(capsys, "list", "5")
         assert code == 1
         assert "FAREY_CAP must be a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            pytest.param(argv, out, id=" ".join(argv))
+            for argv, out in (
+                (("cf", "9/25"), "[0,2,1,3,2]\n"),
+                (("chain", "5/39"), "rho=[7,1] terminal=4 k=2\n"),
+                (("next", "9/25", "100"), "31/86 (l=3)\n"),
+                (("prev", "9/25", "25"), "5/14\n"),
+                (("triple", "5", "39"), "1/8 5/39 4/31\n"),
+                (("triple", "5", "39", "--method", "chain"), "1/8 5/39 4/31\n"),
+                (("triple", "5", "39", "--method", "cf"), "1/8 5/39 4/31\n"),
+                (("list", "5"), None),
+                (("verify", "8"), None),
+                (("bench", "5", "--reps", "1"), None),
+                (("triple", "9", "25", "--method", "oracle"), None),
+            )
+        ],
+    )
+    def test_bad_cap_env_stops_only_commands_that_walk(self, capsys, monkeypatch, argv, out):
+        # A command that walks no sequence never reads FAREY_CAP.
+        monkeypatch.setenv("FAREY_CAP", "lots")
+        code, stdout, err = run_cli(capsys, *argv)
+        if out is None:
+            assert (code, stdout) == (1, "")
+            assert err == "error: FAREY_CAP must be a positive integer, got 'lots'\n"
+        else:
+            assert (code, stdout, err) == (0, out, "")
 
     def test_cap_reaches_oracle_method(self, capsys):
         code, _, err = run_cli(
@@ -916,7 +972,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 22 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 24 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
