@@ -101,6 +101,16 @@ class TestOrderingAndHash:
             assert (a <= b) == (exact_a <= exact_b)
             assert (a == b) == (exact_a == exact_b)
 
+    # Small denominators, so that equal pairs are drawn too.
+    @given(unit_fractions(max_den=20), unit_fractions(max_den=20))
+    def test_not_equal_is_the_negation_of_equal(self, x, y):
+        assert (x != y) is not (x == y)
+
+    @pytest.mark.parametrize("other", [(1, 2), "1/2", 0], ids=repr)
+    def test_never_equal_to_other_types(self, other):
+        assert (Fraction(1, 2) != other) is True
+        assert (Fraction(1, 2) == other) is False
+
     @given(unit_fractions(), unit_fractions())
     def test_cross_det_sign_is_the_order(self, x, y):
         d = cross_det(x, y)

@@ -152,6 +152,16 @@ class TestVerifyProperties:
         assert report.index == 2
         assert "determinant 3" in report.failure
 
+    def test_doctored_descending_pair(self):
+        # 1/6 after 1/5 instead of before it: F_6's adjacent pair 1/6, 1/5
+        # swapped, so its determinant is -1.
+        terms = list(_terms(5))
+        terms.insert(2, Fraction(1, 6))
+        report = verify_properties(FareySequence(5, tuple(terms)))
+        assert not report.ok
+        assert report.index == 1
+        assert report.failure == "adjacent pair 1/5, 1/6 has determinant -1, expected 1"
+
     def test_doctored_missing_first_term(self):
         report = verify_properties(FareySequence(5, _terms(5)[1:]))
         assert not report.ok
