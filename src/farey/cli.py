@@ -42,9 +42,6 @@ EXIT_INTERRUPTED = 130
 MAX_CAP = 10 * DEFAULT_CAP
 # The most queries `farey bench` makes per cell.
 MAX_REPS = 10**6
-# main()'s parser, built by its first call: a parse leaves its findings in its
-# Namespace, and help width, streams and digit limit are read as a call runs.
-_parser: _Parser | None = None
 
 # Names served from modules that only some commands need, each with its
 # module; farey.bulk holds the list, verify and bench commands.  A name loads
@@ -395,11 +392,8 @@ def build_parser() -> _Parser:
 
 
 def _run(argv: list[str] | None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

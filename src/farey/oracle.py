@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
-from .fraction import Fraction
+from .fraction import Fraction, cross_det
 from .record import Record, _set
 from .triples import FareyTriple, check_center
 
@@ -167,7 +167,7 @@ def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) ->
         return fail("first term must be 0/1", 0)
     i = centers = 0
     for y in terms:
-        d = y.num * x.den - x.num * y.den
+        d = cross_det(x, y)
         if d != 1:
             return fail(f"adjacent pair {x}, {y} has determinant {d}, expected 1", i)
         if x.den > order or y.den > order:

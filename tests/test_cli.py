@@ -696,52 +696,6 @@ class TestExitCodesAndCap:
         assert before.startswith("{")
 
 
-class TestParserReuse:
-    # Each call after the first runs on the parser the first one built.
-    SEQUENCE = [
-        ["--json", "triple", "5", "39"],
-        ["triple", "5", "39"],
-        ["triple", "5", "39", "--json"],
-        ["triple", "5"],
-        ["next", "9/25", "100"],
-        ["--cap", "5", "list", "5"],
-        ["list", "5"],
-        ["triple", "--help"],
-        ["chain", "5/39"],
-    ]
-
-    def test_reused_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
-        fresh = []
-        for argv in self.SEQUENCE:
-            monkeypatch.setattr(cli, "_parser", None)
-            fresh.append(run_cli(capsys, *argv))
-        monkeypatch.setattr(cli, "_parser", None)
-        reused = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
-        assert reused == fresh
-        assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0, 2, 0, 0, 0]
-
-    def test_help_takes_the_width_of_each_call(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_parser", None)
-        helps = []
-        for columns in ("50", "150", "50"):
-            monkeypatch.setenv("COLUMNS", columns)
-            helps.append(run_cli(capsys, "triple", "--help"))
-        assert helps[0] == helps[2] != helps[1]
-
-    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
-        real, built = cli.build_parser, []
-
-        def counting():
-            built.append(None)
-            return real()
-
-        monkeypatch.setattr(cli, "build_parser", counting)
-        monkeypatch.setattr(cli, "_parser", None)
-        for argv in (["triple", "5", "39"], ["frob"], ["cf", "5/39"], ["verify", "5"]):
-            run_cli(capsys, *argv)
-        assert len(built) == 1
-
-
 class TestJsonCanonical:
     COMMANDS = [
         ("list", "6"),
