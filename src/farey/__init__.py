@@ -46,14 +46,12 @@ _EXPORTS = {
         "PropertyReport",
         "enumerate_farey",
         "iterate_farey",
-        "scan_triple",
         "triple_by_scan",
         "verify_properties",
     ),
     "triples": (
         "FareyTriple",
         "ReductionChain",
-        "are_adjacent",
         "base_triple",
         "lift_chain",
         "lift_step",

@@ -178,7 +178,7 @@ def _token(parse):
         try:
             return parse(text)
         except DomainError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise argparse.ArgumentTypeError(str(exc).replace(repr(text), _shown(text))) from None
 
     return convert
 
@@ -194,7 +194,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     except DomainError:
         value = 0
     if value < 1:
-        raise DomainError(f"FAREY_CAP must be a positive integer, got {env!r}")
+        raise DomainError(f"FAREY_CAP must be a positive integer, got {_shown(env)}")
     return _bounded(value, "cap", 1, MAX_CAP)
 
 

@@ -10,7 +10,6 @@ cap is checked against the exact length |F_N|.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
@@ -183,17 +182,6 @@ def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) ->
         return fail("last term must be 1/1", i)
     # Every pair passed, so each interior term is a certified mediant.
     report.pairs, report.mediants, report.centers = i, i - 1, centers
-
-
-def scan_triple(seq: FareySequence, n: int) -> FareyTriple:
-    """Read the triple around n/order directly out of an enumerated sequence."""
-    order = seq.order
-    check_center(n, order)
-    target = Fraction._from_coprime(n, order)
-    i = bisect_left(seq.terms, target)
-    if i >= len(seq.terms) or seq.terms[i] != target:
-        raise DomainError(f"{target} not found in F_{order}")
-    return FareyTriple(seq.terms[i - 1], target, seq.terms[i + 1], order)
 
 
 def triple_by_scan(n: int, order: int, cap: int | None = DEFAULT_CAP) -> FareyTriple:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError
-from .fraction import Fraction, _coprime, cross_det
+from .fraction import Fraction, _coprime
 from .record import Record, _new, _set, _setters
 
 
@@ -102,23 +102,6 @@ class ReductionChain(Record):
         _set(self, "quotients", quotients)
         _set(self, "terminal", terminal)
         _set(self, "start", start)
-
-
-def are_adjacent(x: Fraction, y: Fraction, order: int) -> bool:
-    """True iff x and y appear as consecutive terms of F_order.
-
-    Requires x < y.  The criterion is unimodularity together with
-    max(x.den, y.den) <= order < x.den + y.den: both must belong to the
-    sequence, and anything that could sit between them (denominator at
-    least x.den + y.den) must not.
-    """
-    if not x < y:
-        raise DomainError(f"expected x < y, got {x} >= {y}")
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    if cross_det(x, y) != 1:
-        return False
-    return max(x.den, y.den) <= order < x.den + y.den
 
 
 def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:

@@ -15,8 +15,9 @@ from functools import lru_cache
 
 from farey import (
     ContinuedFraction,
+    DomainError,
     FareySequence,
-    are_adjacent,
+    Fraction,
     cf_canonicalize,
     cf_evaluate,
     cf_expand,
@@ -60,6 +61,24 @@ def totient(n: int) -> int:
 
 def totient_sum(lo: int, hi: int) -> int:
     return sum(totient(n) for n in range(lo, hi + 1))
+
+
+def are_adjacent(x: Fraction, y: Fraction, order: int) -> bool:
+    """True iff x and y appear as consecutive terms of F_order: a checker
+    of adjacency that shares no code with the library's own checks.
+
+    Requires x < y.  The criterion is unimodularity together with
+    max(x.den, y.den) <= order < x.den + y.den: both must belong to the
+    sequence, and anything that could sit between them (denominator at
+    least x.den + y.den) must not.
+    """
+    if not x < y:
+        raise DomainError(f"expected x < y, got {x} >= {y}")
+    if order < 1:
+        raise DomainError(f"order must be >= 1, got {order}")
+    if y.num * x.den - x.num * y.den != 1:
+        return False
+    return max(x.den, y.den) <= order < x.den + y.den
 
 
 def chain_length_bound(order: int) -> int:

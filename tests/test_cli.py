@@ -73,6 +73,10 @@ class InlinePool:
         pass
 
 
+# A non-numeric token far longer than any error message should be.
+_LONG = "x" * 20000
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -609,6 +613,29 @@ class TestExitCodesAndCap:
         # The offending token is shortened, not echoed in full.
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            (None, ("cf", _LONG)),
+            (None, ("list", _LONG)),
+            (None, ("next", "1/3", _LONG)),
+            (None, ("bench", f"1,{_LONG}")),
+            (_LONG, ("list", "3")),
+        ],
+        ids=["cf", "list", "next", "bench", "env-cap"],
+    )
+    def test_long_tokens_are_shortened_in_messages(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("FAREY_CAP", raising=False)
+        else:
+            monkeypatch.setenv("FAREY_CAP", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.encode()) < 200
+        token = max((env or "", *argv), key=len)
+        assert f"{token[:16]}..." in err
+
     def test_huge_power_is_refused_before_it_is_built(self, capsys):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "triple", "1", "2^1000000000000")
@@ -730,7 +757,9 @@ _HUGE = (
     f"{'9' * DIGIT_LIMIT}^2",
     f"2^{'1' * (DIGIT_LIMIT + 1)}",
 )
-_MALFORMED = ("", " ", "x", "1.5", "^", "10^", "^3", "-2^3", "1e9", "0x10", "1__0", "½", "--")
+_MALFORMED = (
+    "", " ", "x", "1.5", "^", "10^", "^3", "-2^3", "1e9", "0x10", "1__0", "½", "--", _LONG,
+)
 _small_ints = st.integers(min_value=-3, max_value=60).map(str)
 _int_tokens = st.one_of(
     _small_ints,

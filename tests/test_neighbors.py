@@ -7,7 +7,6 @@ from farey import (
     DomainError,
     Fraction,
     NeighborResult,
-    are_adjacent,
     base_right_neighbor,
     cross_det,
     enumerate_farey,
@@ -17,7 +16,7 @@ from farey import (
 )
 from farey import neighbors
 from farey.triples import _chain_triple
-from helpers import sweep
+from helpers import are_adjacent, sweep
 from strats import coprime_pairs
 
 

@@ -1,8 +1,6 @@
 """Tests for the enumeration oracle and the defining-property verifier."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from farey import (
     CapExceededError,
@@ -11,7 +9,6 @@ from farey import (
     Fraction,
     enumerate_farey,
     iterate_farey,
-    scan_triple,
     triple_by_scan,
     verify_properties,
 )
@@ -198,6 +195,8 @@ class TestVerifyProperties:
 
 
 class TestScanTriple:
+    """triple_by_scan, the oracle's one route to a triple."""
+
     def test_two_fifths(self):
         t = triple_by_scan(2, 5)
         assert (t.left, t.center, t.right) == (
@@ -236,29 +235,16 @@ class TestScanTriple:
         with pytest.raises(DomainError):
             triple_by_scan(1, 1)
 
-    def test_scan_of_prebuilt_sequence(self):
-        seq = enumerate_farey(17)
-        t = scan_triple(seq, 7)
-        assert t.center == Fraction(7, 17)
-        assert t.order == 17
-
     def test_honors_cap(self):
         with pytest.raises(CapExceededError):
             triple_by_scan(9, 25, cap=10)
 
-    def test_walk_matches_the_enumerated_scan_to_60(self):
+    def test_windows_are_consecutive_terms(self):
+        # Every center of every order up to 60, against the enumerated terms.
         for order in range(2, 61):
             seq = enumerate_farey(order)
-            for f in seq.terms[1:-1]:
+            for i in range(1, len(seq) - 1):
+                f = seq[i]
                 if f.den == order:
-                    assert triple_by_scan(f.num, order) == scan_triple(seq, f.num)
-
-    @given(st.integers(min_value=2, max_value=60))
-    def test_windows_are_consecutive_terms(self, order):
-        seq = enumerate_farey(order)
-        for i in range(1, len(seq) - 1):
-            f = seq[i]
-            if f.den != order:
-                continue
-            t = scan_triple(seq, f.num)
-            assert (t.left, t.center, t.right) == (seq[i - 1], f, seq[i + 1])
+                    t = triple_by_scan(f.num, order)
+                    assert (t.left, t.center, t.right) == (seq[i - 1], f, seq[i + 1])

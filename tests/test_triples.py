@@ -9,7 +9,6 @@ from farey import (
     FareyTriple,
     Fraction,
     ReductionChain,
-    are_adjacent,
     base_triple,
     cross_det,
     lift_chain,
@@ -21,7 +20,7 @@ from farey import (
     triple_via_cf,
 )
 from farey import triples
-from helpers import sweep
+from helpers import are_adjacent, sweep
 from strats import coprime_pairs, farey_triples
 
 
