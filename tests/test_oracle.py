@@ -1,11 +1,14 @@
 """Tests for the enumeration oracle and the defining-property verifier."""
 
+import math
+
 import pytest
 
 from farey import (
     CapExceededError,
     DomainError,
     FareySequence,
+    FareyTriple,
     Fraction,
     enumerate_farey,
     iterate_farey,
@@ -13,7 +16,7 @@ from farey import (
     verify_properties,
 )
 from farey import oracle
-from helpers import sweep, totient_sum
+from helpers import are_adjacent, sweep, totient_sum
 
 GOLDEN_ROWS = {
     1: "0/1 1/1",
@@ -239,12 +242,24 @@ class TestScanTriple:
         with pytest.raises(CapExceededError):
             triple_by_scan(9, 25, cap=10)
 
-    def test_windows_are_consecutive_terms(self):
-        # Every center of every order up to 60, against the enumerated terms.
+    def test_walk_matches_the_enumerated_scan_to_60(self):
+        # The whole triple, order included, against the window read off F_order.
         for order in range(2, 61):
             seq = enumerate_farey(order)
             for i in range(1, len(seq) - 1):
                 f = seq[i]
                 if f.den == order:
-                    t = triple_by_scan(f.num, order)
-                    assert (t.left, t.center, t.right) == (seq[i - 1], f, seq[i + 1])
+                    window = FareyTriple(seq[i - 1], f, seq[i + 1], order)
+                    assert triple_by_scan(f.num, order) == window
+
+    def test_windows_are_consecutive_terms(self):
+        # Every center of every order up to 60: both neighbours are adjacent
+        # to the center in the determinant sense, by an independent checker.
+        for order in range(2, 61):
+            for n in range(1, order):
+                if math.gcd(n, order) != 1:
+                    continue
+                t = triple_by_scan(n, order)
+                assert t.left < t.center < t.right
+                assert are_adjacent(t.left, t.center, order)
+                assert are_adjacent(t.center, t.right, order)
