@@ -47,6 +47,7 @@ check "cap refuses oracle walk" 2 ""                            farey --cap 100 
 check "cap env honored"        2 ""                             env FAREY_CAP=10 farey list 5
 check "bad cap env unread by cf" 0 "[0,2,1,3,2]"                env FAREY_CAP=lots farey cf 9/25
 check "bad cap env stops list" 1 ""                             env FAREY_CAP=lots farey list 5
+check "unknown method"         1 ""                             farey triple 5 39 --method nope
 
 out="$(env -u FAREY_CAP farey bench 10^12 --reps 3 --json 2>/dev/null)"
 if [[ $? == 0 && "$out" == *'"oracle":"skipped"'* ]]; then

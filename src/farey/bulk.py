@@ -160,16 +160,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "ok": failure is None,
     }
     if failure is None:
-        if args.json:
-            cli._print_json(payload)
-        else:
-            cli._emit(f"OK: {checked} orders, {triples_checked:,} triples, 0 mismatches")
-        return cli.EXIT_OK
-    if args.json:
-        payload["failure"] = failure
-        cli._print_json(payload)
-    else:
-        cli._emit(f"FAIL: {failure}")
+        return cli._answer(
+            args, payload, f"OK: {checked} orders, {triples_checked:,} triples, 0 mismatches"
+        )
+    payload["failure"] = failure
+    cli._answer(args, payload, f"FAIL: {failure}")
     return cli.EXIT_VERIFY
 
 

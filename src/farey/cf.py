@@ -16,7 +16,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .fraction import Fraction
 from .record import Record, _set
-from .triples import FareyTriple, ReductionChain, _chain_of
+from .triples import FareyTriple, ReductionChain, _chain_of, _euclid
 
 
 class ContinuedFraction(Record):
@@ -58,19 +58,16 @@ class ContinuedFraction(Record):
 
 
 def cf_expand(x: Fraction) -> ContinuedFraction:
-    """The canonical expansion of x, via the Euclidean algorithm.
+    """The canonical expansion of x: [0] for 0/1, [1] for 1/1, and otherwise
+    [0, q1, ..., qk, T] from x's quotient chain (triples._euclid).
 
-    Successive quotients of (num, den) are exactly the coefficients; because
-    the final nonzero remainder of coprime inputs is 1, the last coefficient
-    comes out >= 2 on its own (no trailing 1 is ever produced), except for
-    the whole-number values 0/1 -> [0] and 1/1 -> [1].
+    The chain's quotients are the Euclidean algorithm's on (num, den), and
+    its terminal T >= 2, so no trailing 1 is ever produced.
     """
-    coeffs = []
-    p, q = x.num, x.den
-    while q:
-        coeffs.append(p // q)
-        p, q = q, p % q
-    return ContinuedFraction(tuple(coeffs))
+    if x.num == 0 or x.num == x.den:
+        return ContinuedFraction((x.num,))
+    quotients, terminal = _euclid(x.num, x.den)
+    return ContinuedFraction((0, *quotients, terminal))
 
 
 def cf_evaluate(cf: ContinuedFraction) -> Fraction:

@@ -164,7 +164,8 @@ def _bounded(value: int, what: str, low: int, high: int | None = None) -> int:
     """value, unless it is below low or above high: then a DomainError
     naming ``what``."""
     if value < low:
-        raise DomainError(f"{what} must be >= {low}, got {value}")
+        got = str(value)
+        raise DomainError(f"{what} must be >= {low}, got {got if len(got) <= 40 else _shown(got)}")
     if high is not None and value > high:
         raise DomainError(f"{what} must be <= {high:,}, got {_shown(str(value))}")
     return value
@@ -212,6 +213,15 @@ def _print_json(payload) -> None:
     _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def _answer(args: argparse.Namespace, payload, text: str) -> int:
+    """Print ``payload`` as canonical JSON under --json, else ``text``; EXIT_OK."""
+    if args.json:
+        _print_json(payload)
+    else:
+        _emit(text)
+    return EXIT_OK
+
+
 # The direct triple constructions, each checked against enumeration by
 # verify: the modular inverse (the default), the paper's quotient chain and
 # the continued fraction.
@@ -232,21 +242,12 @@ def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> Farey
 def cmd_triple(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args) if args.method == "oracle" else None
     result = _triple_by_method(args.num, args.order, args.method, cap)
-    if args.json:
-        _print_json(
-            {
-                "left": str(result.left),
-                "center": str(result.center),
-                "right": str(result.right),
-                "order": result.order,
-            }
-        )
-    else:
-        _emit(f"{result.left} {result.center} {result.right}")
-    return EXIT_OK
+    left, center, right = str(result.left), str(result.center), str(result.right)
+    payload = {"left": left, "center": center, "right": right, "order": result.order}
+    return _answer(args, payload, f"{left} {center} {right}")
 
 
-def _neighbor_payload(result, side: str) -> dict:
+def _neighbor_json(result, side: str) -> dict:
     return {
         "query": str(result.query),
         "order": result.order,
@@ -258,48 +259,77 @@ def _neighbor_payload(result, side: str) -> dict:
 
 def cmd_next(args: argparse.Namespace) -> int:
     result = _cli.right_neighbor(args.fraction, args.order)
-    if args.json:
-        _print_json(_neighbor_payload(result, "right"))
-    else:
-        _emit(f"{result.neighbor} (l={result.steps})")
-    return EXIT_OK
+    return _answer(args, _neighbor_json(result, "right"), f"{result.neighbor} (l={result.steps})")
 
 
 def cmd_prev(args: argparse.Namespace) -> int:
     result = _cli.left_neighbor(args.fraction, args.order)
-    if args.json:
-        _print_json(_neighbor_payload(result, "left"))
-    else:
-        _emit(str(result.neighbor))
-    return EXIT_OK
+    return _answer(args, _neighbor_json(result, "left"), str(result.neighbor))
 
 
 def cmd_cf(args: argparse.Namespace) -> int:
     expansion = _cli.cf_expand(args.fraction)
-    if args.json:
-        _print_json(
-            {"fraction": str(args.fraction), "coefficients": list(expansion.coeffs)}
-        )
-    else:
-        _emit(str(expansion))
-    return EXIT_OK
+    payload = {"fraction": str(args.fraction), "coefficients": list(expansion.coeffs)}
+    return _answer(args, payload, str(expansion))
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
     chain = reduction_chain(args.fraction)
-    if args.json:
-        _print_json(
-            {
-                "start": str(chain.start),
-                "quotients": list(chain.quotients),
-                "terminal": chain.terminal,
-                "k": len(chain.quotients),
-            }
-        )
-    else:
-        quotients = "[" + ",".join(str(q) for q in chain.quotients) + "]"
-        _emit(f"rho={quotients} terminal={chain.terminal} k={len(chain.quotients)}")
-    return EXIT_OK
+    quotients, terminal, k = list(chain.quotients), chain.terminal, len(chain.quotients)
+    payload = {"start": str(chain.start), "quotients": quotients, "terminal": terminal, "k": k}
+    rho = ",".join(map(str, quotients))
+    return _answer(args, payload, f"rho=[{rho}] terminal={terminal} k={k}")
+
+
+# The grammar of each command: its help line, then its arguments in order,
+# each a positional name or a --flag with its add_argument settings (next and
+# prev share theirs, as do cf and chain).  Every command also takes the shared
+# flags of _add_common.
+_COUNT = _token(_parse_count)
+_FRACTION = _token(_parse_fraction)
+_A_FRACTION = {"fraction": {"type": _FRACTION}}
+_FRACTION_ORDER = {"fraction": {"type": _FRACTION}, "order": {"type": _COUNT}}
+_COMMANDS = {
+    "list": ("print every term of the sequence of a given order", {"order": {"type": _COUNT}}),
+    "triple": (
+        "the term n/order and its two neighbors",
+        {
+            "num": {"type": _COUNT},
+            "order": {"type": _COUNT},
+            "--method": {
+                "choices": (*_CONSTRUCTIONS, "oracle"),
+                "default": "inverse",
+                "help": "construction to use (default: inverse)",
+            },
+        },
+    ),
+    "next": ("the term immediately after a fraction", _FRACTION_ORDER),
+    "prev": ("the term immediately before a fraction", _FRACTION_ORDER),
+    "cf": ("canonical continued fraction of a fraction", _A_FRACTION),
+    "chain": ("quotient chain driving a fraction to numerator 1", _A_FRACTION),
+    "verify": (
+        "cross-check fast paths against enumeration for all orders up to a bound",
+        {
+            "max_order": {"type": _COUNT},
+            "--jobs": {
+                "type": _COUNT,
+                "default": 1,
+                "help": "worker processes (default 1; at most one per CPU and per order)",
+            },
+        },
+    ),
+    "bench": (
+        "time inverse/chain/cf/oracle queries per order",
+        {
+            "orders": {"help": "comma-separated orders; 10^12 notation allowed"},
+            "--reps": {
+                "type": _COUNT,
+                "default": 25,
+                "help": f"queries per cell (default 25, at most {MAX_REPS:,})",
+            },
+        },
+    ),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser, root: bool = False) -> None:
@@ -328,66 +358,13 @@ def build_parser() -> _Parser:
         description="Exact Farey sequence queries: triples, neighbors,"
         " continued fractions, verification, benchmarks.",
     )
-    count, fraction = _token(_parse_count), _token(_parse_fraction)
     _add_common(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("list", help="print every term of the sequence of a given order")
-    p.add_argument("order", type=count)
-    _add_common(p)
-
-    p = sub.add_parser("triple", help="the term n/order and its two neighbors")
-    p.add_argument("num", type=count)
-    p.add_argument("order", type=count)
-    p.add_argument(
-        "--method",
-        choices=(*_CONSTRUCTIONS, "oracle"),
-        default="inverse",
-        help="construction to use (default: inverse)",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("next", help="the term immediately after a fraction")
-    p.add_argument("fraction", type=fraction)
-    p.add_argument("order", type=count)
-    _add_common(p)
-
-    p = sub.add_parser("prev", help="the term immediately before a fraction")
-    p.add_argument("fraction", type=fraction)
-    p.add_argument("order", type=count)
-    _add_common(p)
-
-    p = sub.add_parser("cf", help="canonical continued fraction of a fraction")
-    p.add_argument("fraction", type=fraction)
-    _add_common(p)
-
-    p = sub.add_parser("chain", help="quotient chain driving a fraction to numerator 1")
-    p.add_argument("fraction", type=fraction)
-    _add_common(p)
-
-    p = sub.add_parser(
-        "verify",
-        help="cross-check fast paths against enumeration for all orders up to a bound",
-    )
-    p.add_argument("max_order", type=count)
-    p.add_argument(
-        "--jobs",
-        type=count,
-        default=1,
-        help="worker processes (default 1; at most one per CPU and per order)",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="time inverse/chain/cf/oracle queries per order")
-    p.add_argument("orders", help="comma-separated orders; 10^12 notation allowed")
-    p.add_argument(
-        "--reps",
-        type=count,
-        default=25,
-        help=f"queries per cell (default 25, at most {MAX_REPS:,})",
-    )
-    _add_common(p)
-
+    for name, (help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for argument, settings in arguments.items():
+            p.add_argument(argument, **settings)
+        _add_common(p)
     return parser
 
 

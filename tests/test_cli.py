@@ -75,6 +75,9 @@ class InlinePool:
 
 # A non-numeric token far longer than any error message should be.
 _LONG = "x" * 20000
+# An integer below every lower bound, short enough to parse, long enough that
+# echoing it in full would swamp the message.
+_HUGE_NEGATIVE = "-" + "9" * 4000
 
 
 def run_cli(capsys, *argv):
@@ -621,8 +624,16 @@ class TestExitCodesAndCap:
             (None, ("next", "1/3", _LONG)),
             (None, ("bench", f"1,{_LONG}")),
             (_LONG, ("list", "3")),
+            (None, ("verify", _HUGE_NEGATIVE)),
+            (None, ("bench", _HUGE_NEGATIVE)),
+            (None, ("verify", "5", "--jobs", _HUGE_NEGATIVE)),
+            (None, ("bench", "5", "--reps", _HUGE_NEGATIVE)),
+            (None, ("--cap", _HUGE_NEGATIVE, "list", "3")),
         ],
-        ids=["cf", "list", "next", "bench", "env-cap"],
+        ids=[
+            "cf", "list", "next", "bench", "env-cap",
+            "verify-low", "bench-low", "jobs-low", "reps-low", "cap-low",
+        ],
     )
     def test_long_tokens_are_shortened_in_messages(self, capsys, monkeypatch, env, argv):
         if env is None:
@@ -716,6 +727,28 @@ class TestExitCodesAndCap:
         assert out.startswith("usage: farey")
         assert err == ""
 
+    # The usage line argparse builds for each command, at a width that
+    # keeps it on one line.
+    USAGE = {
+        "list": "usage: farey list [-h] [--json] [--cap TERMS] order",
+        "triple": "usage: farey triple [-h] [--method {inverse,chain,cf,oracle}] [--json]"
+        " [--cap TERMS] num order",
+        "next": "usage: farey next [-h] [--json] [--cap TERMS] fraction order",
+        "prev": "usage: farey prev [-h] [--json] [--cap TERMS] fraction order",
+        "cf": "usage: farey cf [-h] [--json] [--cap TERMS] fraction",
+        "chain": "usage: farey chain [-h] [--json] [--cap TERMS] fraction",
+        "verify": "usage: farey verify [-h] [--jobs JOBS] [--json] [--cap TERMS] max_order",
+        "bench": "usage: farey bench [-h] [--reps REPS] [--json] [--cap TERMS] orders",
+    }
+
+    @pytest.mark.parametrize("command", USAGE)
+    def test_command_table_builds_each_usage_line(self, capsys, monkeypatch, command):
+        assert list(self.USAGE) == list(cli._COMMANDS)
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == self.USAGE[command]
+
     def test_json_flag_before_or_after_subcommand(self, capsys):
         _, before, _ = run_cli(capsys, "--json", "triple", "5", "39")
         _, after, _ = run_cli(capsys, "triple", "5", "39", "--json")
@@ -759,6 +792,7 @@ _HUGE = (
 )
 _MALFORMED = (
     "", " ", "x", "1.5", "^", "10^", "^3", "-2^3", "1e9", "0x10", "1__0", "½", "--", _LONG,
+    _HUGE_NEGATIVE,
 )
 _small_ints = st.integers(min_value=-3, max_value=60).map(str)
 _int_tokens = st.one_of(
@@ -1002,7 +1036,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 24 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 25 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
