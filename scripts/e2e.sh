@@ -57,5 +57,14 @@ else
     echo "E2E FAIL: bench at 10^12 skips oracle; got: $out"
 fi
 
+printf -v nines '%*s' 4000 ''
+err="$(env -u FAREY_CAP farey list "-${nines// /9}" 2>&1 >/dev/null)"
+if [[ $? == 1 && ${#err} -lt 200 ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: a huge order is cut in the error line; got ${#err} bytes: ${err:0:200}"
+fi
+
 echo "e2e: $pass passed, $fail failed"
 [[ "$fail" == 0 ]]

@@ -64,13 +64,16 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)
 
 
+def _load(namespace, source, name):
+    """PEP 562 ``__getattr__``: bind ``name`` in ``namespace`` from its submodule in ``source``."""
+    if name not in source:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    namespace[name] = getattr(import_module(f"{__name__}.{source[name]}"), name)
+    return namespace[name]
+
+
 def __getattr__(name):
-    module = _SOURCE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+    return _load(globals(), _SOURCE, name)
 
 
 def __dir__():

@@ -234,7 +234,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         orders = [cli._parse_count(token) for token in args.orders.split(",")]
     except DomainError:
-        raise DomainError(f"cannot parse order list from {cli._shown(args.orders)}") from None
+        raise DomainError(f"cannot parse order list from {args.orders!r}") from None
     for order in orders:
         cli._bounded(order, "order", 2)
     cli._bounded(args.reps, "reps", 1, cli.MAX_REPS)

@@ -25,8 +25,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 
+from . import _load
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
 from .fraction import Fraction
 from .triples import FareyTriple, _chain_triple, check_center, reduction_chain, triple
@@ -63,12 +63,7 @@ _LAZY = {
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__package__}.{module}"), name)
-    globals()[name] = value
-    return value
+    return _load(globals(), _LAZY, name)
 
 
 # This module as an object: a bare global lookup does not consult
@@ -107,19 +102,12 @@ def _digit_limit() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-def _shown(token: str) -> str:
-    """repr of a token for an error message, cut to its ends when long."""
-    if len(token) > 40:
-        token = f"{token[:16]}...{token[-16:]}"
-    return repr(token)
-
-
 def _check_digits(literal: str, token: str, limit: int) -> None:
     """Refuse a decimal literal of more than ``limit`` digits, counted
     before int() sees it, naming ``token`` in the message."""
     digits = literal.strip().lstrip("+-").replace("_", "")
     if len(digits) > limit and digits.isdecimal():
-        raise DomainError(f"integer {_shown(token)} has more than {limit} digits")
+        raise DomainError(f"integer {token!r} has more than {limit} digits")
 
 
 def _parse_count(text: str) -> int:
@@ -149,7 +137,7 @@ def _parse_count(text: str) -> int:
         value = base**exp
         too_long = value.bit_length() > 3 * limit and value >= 10**limit
     if too_long:
-        raise DomainError(f"integer {_shown(text)} has more than {limit} digits")
+        raise DomainError(f"integer {text!r} has more than {limit} digits")
     return value
 
 
@@ -164,10 +152,9 @@ def _bounded(value: int, what: str, low: int, high: int | None = None) -> int:
     """value, unless it is below low or above high: then a DomainError
     naming ``what``."""
     if value < low:
-        got = str(value)
-        raise DomainError(f"{what} must be >= {low}, got {got if len(got) <= 40 else _shown(got)}")
+        raise DomainError(f"{what} must be >= {low}, got {value}")
     if high is not None and value > high:
-        raise DomainError(f"{what} must be <= {high:,}, got {_shown(str(value))}")
+        raise DomainError(f"{what} must be <= {high:,}, got {value}")
     return value
 
 
@@ -179,7 +166,7 @@ def _token(parse):
         try:
             return parse(text)
         except DomainError as exc:
-            raise argparse.ArgumentTypeError(str(exc).replace(repr(text), _shown(text))) from None
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
 
@@ -195,7 +182,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     except DomainError:
         value = 0
     if value < 1:
-        raise DomainError(f"FAREY_CAP must be a positive integer, got {_shown(env)}")
+        raise DomainError(f"FAREY_CAP must be a positive integer, got {env!r}")
     return _bounded(value, "cap", 1, MAX_CAP)
 
 
@@ -368,11 +355,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _report(kind: str, message) -> None:
+    """Write ``kind: message`` to stderr, each word-initial repr (quotes kept)
+    or whitespace-free run of over 40 characters cut to its first and last 16."""
+    import re
+
+    def cut(match):
+        quote, run = match[1] or "", match[2] or match[0]
+        return match[0] if len(run) <= 40 else f"{quote}{run[:16]}...{run[-16:]}{quote}"
+
+    text = re.sub(r"""(?<!\S)(['"])((?:\\.|(?!\1)[^\\])*)\1|\S{41,}""", cut, str(message))
+    print(f"{kind}: {text}", file=sys.stderr)
+
+
 def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report("usage error", exc)
         return EXIT_USAGE
     except SystemExit as exc:
         # --help has printed its text and asked argparse to exit 0.
@@ -382,12 +382,9 @@ def _run(argv: list[str] | None) -> int:
         raise OutputError("stdout is closed")
     try:
         return getattr(_cli, f"cmd_{args.command}")(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    except (DomainError, CapExceededError) as exc:
+        _report("error", exc)
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_USAGE
 
 
 def _detach_stdout() -> None:
@@ -414,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         _detach_stdout()
         if not isinstance(exc.__cause__, BrokenPipeError):
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            _report("error", f"cannot write output: {exc}")
         return EXIT_USAGE
     except KeyboardInterrupt:
         # A --jobs pool has been shut down on the way out of cmd_verify.

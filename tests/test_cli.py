@@ -75,9 +75,10 @@ class InlinePool:
 
 # A non-numeric token far longer than any error message should be.
 _LONG = "x" * 20000
-# An integer below every lower bound, short enough to parse, long enough that
-# echoing it in full would swamp the message.
-_HUGE_NEGATIVE = "-" + "9" * 4000
+# An integer short enough to parse, long enough that echoing it in full would
+# swamp the message; negated, it is below every lower bound.
+_NINES = "9" * 4000
+_HUGE_NEGATIVE = "-" + _NINES
 
 
 def run_cli(capsys, *argv):
@@ -629,10 +630,23 @@ class TestExitCodesAndCap:
             (None, ("verify", "5", "--jobs", _HUGE_NEGATIVE)),
             (None, ("bench", "5", "--reps", _HUGE_NEGATIVE)),
             (None, ("--cap", _HUGE_NEGATIVE, "list", "3")),
+            (None, ("cf", f"{_NINES}/1")),
+            (None, ("next", f"1/{_NINES}", "5")),
+            (None, (_NINES,)),
+            (None, ("list", "3", _NINES)),
+            (None, ("next", "1/2", _HUGE_NEGATIVE)),
+            (None, ("triple", _HUGE_NEGATIVE, "5")),
+            (None, ("list", _HUGE_NEGATIVE)),
+            (None, ("triple", "5", "39", "--method", _LONG)),
+            # repr puts a token holding ' in double quotes.
+            (None, ("list", "' " * 3000)),
         ],
         ids=[
             "cf", "list", "next", "bench", "env-cap",
             "verify-low", "bench-low", "jobs-low", "reps-low", "cap-low",
+            "cf-outside", "next-nonmember", "command", "unrecognized",
+            "next-order-low", "triple-num-low", "list-order-low", "method",
+            "double-quoted",
         ],
     )
     def test_long_tokens_are_shortened_in_messages(self, capsys, monkeypatch, env, argv):
@@ -860,7 +874,7 @@ _stdouts = st.one_of(
 def test_exit_code_contract_holds_for_random_argv(monkeypatch):
     """Any argv ends in 0, 1, 2 or 3, never in an exception, and explains
     itself on stderr whenever it does not succeed, unless the reader closed
-    the pipe; also when stdout fails part-way."""
+    the pipe; also when stdout fails part-way.  stderr stays short."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.delenv("FAREY_CAP", raising=False)
 
@@ -876,6 +890,7 @@ def test_exit_code_contract_holds_for_random_argv(monkeypatch):
         pipe_broke = stdout is not None and stdout[1] == errno.EPIPE and out.failed
         if code != 0 and not pipe_broke:
             assert err.getvalue().strip()
+        assert len(err.getvalue().encode()) < 300
 
     try:
         check()
@@ -1036,7 +1051,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 25 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 26 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(

@@ -33,8 +33,10 @@ def test_dir_lists_every_public_name():
 
 
 def test_unknown_attribute_raises_the_standard_error():
-    with pytest.raises(AttributeError, match=r"^module 'farey' has no attribute 'nonesuch'$"):
-        farey.nonesuch
+    for name in ("farey", "farey.cli"):
+        module = importlib.import_module(name)
+        with pytest.raises(AttributeError, match=rf"^module '{name}' has no attribute 'nonesuch'$"):
+            module.nonesuch
 
 
 def test_default_cap_is_the_oracles():
