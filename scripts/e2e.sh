@@ -66,5 +66,14 @@ else
     echo "E2E FAIL: a huge order is cut in the error line; got ${#err} bytes: ${err:0:200}"
 fi
 
+printf -v words '%*s' 5000 ''
+err="$(env -u FAREY_CAP farey list 3 "${words// /a }" 2>&1 >/dev/null)"
+if [[ $? == 1 && ${#err} -lt 300 ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: a long line of short words is cut as a whole; got ${#err} bytes: ${err:0:200}"
+fi
+
 echo "e2e: $pass passed, $fail failed"
 [[ "$fail" == 0 ]]

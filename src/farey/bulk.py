@@ -19,8 +19,8 @@ from time import perf_counter_ns
 
 from . import cli
 from .errors import DomainError
-from .fraction import Fraction
 from .oracle import PropertyReport, _certified, _farey_length
+from .triples import _euclid
 
 
 # Terms per write of `list`: enough to keep the writes few, few enough that
@@ -45,6 +45,14 @@ def cmd_list(args: argparse.Namespace) -> int:
     return cli.EXIT_OK
 
 
+def _failure(order: int, what: str, reproduce: str, got=None, want=None) -> str:
+    """verify's failure line: what broke at ``order``, what it ``got`` and what
+    enumeration says (``want``) if given, and the command that reproduces it."""
+    if got is not None:
+        what = f"{what} came out {got}, enumeration says {want}"
+    return f"order {order}: {what} (reproduce: farey {reproduce})"
+
+
 def _verify_order(order: int, cap: int) -> tuple[int, str | None]:
     """Check one order end to end, in one walk of F_order.
 
@@ -59,18 +67,12 @@ def _verify_order(order: int, cap: int) -> tuple[int, str | None]:
     centers = 0
     left = None
     for lo, hi in _certified(order, cli._farey_walk(order, cap), report):
-        after = right_neighbor(lo, order).neighbor
-        if after != hi:
-            return centers, (
-                f"order {order}: successor of {lo} came out {after},"
-                f" enumeration says {hi} (reproduce: farey next {lo} {order})"
-            )
-        before = left_neighbor(hi, order).neighbor
-        if before != lo:
-            return centers, (
-                f"order {order}: predecessor of {hi} came out {before},"
-                f" enumeration says {lo} (reproduce: farey prev {hi} {order})"
-            )
+        got = right_neighbor(lo, order).neighbor
+        if got != hi:
+            return centers, _failure(order, f"successor of {lo}", f"next {lo} {order}", got, hi)
+        got = left_neighbor(hi, order).neighbor
+        if got != lo:
+            return centers, _failure(order, f"predecessor of {hi}", f"prev {hi} {order}", got, lo)
         # order >= 2, so a term with denominator order is interior.
         if lo.den == order:
             centers += 1
@@ -78,20 +80,14 @@ def _verify_order(order: int, cap: int) -> tuple[int, str | None]:
             for method in cli._CONSTRUCTIONS:
                 got = cli._triple_by_method(lo.num, order, method, None)
                 if (got.left, got.center, got.right) != expected:
-                    return centers, (
-                        f"order {order}: {method} triple at {lo} came out"
-                        f" {got.left} {got.center} {got.right}, enumeration says"
-                        f" {left} {lo} {hi}"
-                        f" (reproduce: farey triple {lo.num} {order}"
-                        f" --method {method})"
-                    )
+                    what = f"{method} triple at {lo}"
+                    reproduce = f"triple {lo.num} {order} --method {method}"
+                    terms = f"{got.left} {got.center} {got.right}"
+                    return centers, _failure(order, what, reproduce, terms, f"{left} {lo} {hi}")
         left = lo
-    if not report.ok:
-        return centers, (
-            f"order {order}: {report.failure} at index {report.index}"
-            f" (reproduce: farey list {order})"
-        )
-    return centers, None
+    if report.ok:
+        return centers, None
+    return centers, _failure(order, f"{report.failure} at index {report.index}", f"list {order}")
 
 
 def _verify_results(orders: range, cap: int, jobs: int):
@@ -144,11 +140,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failure = None
     results = _verify_results(orders, cap, jobs)
     try:
-        for centers, message in results:
+        for centers, failure in results:
             checked += 1
             triples_checked += centers
-            if message is not None:
-                failure = message
+            if failure is not None:
                 break
     finally:
         results.close()
@@ -203,7 +198,7 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
     rng = Random(f"bench:{order}")
     queries = []
     while len(queries) < reps:
-        n = rng.randrange(1, order) if order > 2 else 1
+        n = rng.randrange(1, order)
         if math.gcd(n, order) == 1:
             queries.append(n)
     row: dict = {"order": order}
@@ -221,10 +216,7 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
         row["oracle"] = _timing_summary(
             [_time_ns(lambda n=n: by_method(n, order, "oracle", cap)) for n in queries[:budget]]
         )
-    lengths = [
-        len(cli.reduction_chain(Fraction._from_coprime(n, order)).quotients)
-        for n in queries
-    ]
+    lengths = [len(_euclid(n, order)[0]) for n in queries]
     row["chain_length"] = {"mean": _mean_text(sum(lengths), len(lengths)), "max": max(lengths)}
     return row
 

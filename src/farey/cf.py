@@ -70,17 +70,20 @@ def cf_expand(x: Fraction) -> ContinuedFraction:
     return ContinuedFraction((0, *quotients, terminal))
 
 
+def _convergents(n0: int, coeffs: list[int] | tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(p_(k-1), p_k, q_(k-1), q_k) of [n0, *coeffs]: p_i = n_i*p_(i-1) + p_(i-2), same for q."""
+    p_prev, p, q_prev, q = 1, n0, 0, 1
+    for c in coeffs:
+        p_prev, p, q_prev, q = p, c * p + p_prev, q, c * q + q_prev
+    return p_prev, p, q_prev, q
+
+
 def cf_evaluate(cf: ContinuedFraction) -> Fraction:
     """The exact rational value of an expansion, canonical or not.
 
-    Uses the convergent recurrence p_i = n_i*p_(i-1) + p_(i-2) (same for q);
-    consecutive convergents are coprime, so the result needs no reduction.
+    Consecutive convergents are coprime, so the result needs no reduction.
     """
-    p_prev, p = 1, cf.coeffs[0]
-    q_prev, q = 0, 1
-    for c in cf.coeffs[1:]:
-        p_prev, p = p, c * p + p_prev
-        q_prev, q = q, c * q + q_prev
+    _, p, _, q = _convergents(cf.coeffs[0], cf.coeffs[1:])
     return Fraction(p, q)
 
 
@@ -114,9 +117,7 @@ def triple_via_cf(center: Fraction) -> FareyTriple:
     convergents are coprime, so neither value needs reducing.
     """
     quotients, terminal = _chain_of(center)
-    p_prev, p, q_prev, q = 1, 0, 0, 1
-    for c in quotients:
-        p_prev, p, q_prev, q = p, c * p + p_prev, q, c * q + q_prev
+    p_prev, p, q_prev, q = _convergents(0, quotients)
     truncated = Fraction._from_coprime(p, q)
     t = terminal - 1
     lowered = Fraction._from_coprime(t * p + p_prev, t * q + q_prev)

@@ -357,7 +357,8 @@ def build_parser() -> _Parser:
 
 def _report(kind: str, message) -> None:
     """Write ``kind: message`` to stderr, each word-initial repr (quotes kept)
-    or whitespace-free run of over 40 characters cut to its first and last 16."""
+    or whitespace-free run of over 40 characters cut to its first and last 16,
+    then a message still over 200 characters cut to its first 100 and last 60."""
     import re
 
     def cut(match):
@@ -365,6 +366,8 @@ def _report(kind: str, message) -> None:
         return match[0] if len(run) <= 40 else f"{quote}{run[:16]}...{run[-16:]}{quote}"
 
     text = re.sub(r"""(?<!\S)(['"])((?:\\.|(?!\1)[^\\])*)\1|\S{41,}""", cut, str(message))
+    if len(text) > 200:
+        text = f"{text[:100]}...{text[-60:]}"
     print(f"{kind}: {text}", file=sys.stderr)
 
 

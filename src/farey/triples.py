@@ -183,8 +183,7 @@ def base_triple(order: int) -> FareyTriple:
     This is the triple the lift starts from; it is the only shape a
     numerator-1 center can have.
     """
-    if order < 2:
-        raise DomainError(f"order must be >= 2, got {order}")
+    check_center(1, order)
     return FareyTriple(_coprime(0, 1), _coprime(1, order), _coprime(1, order - 1), order)
 
 

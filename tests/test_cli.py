@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import farey.bulk as bulk
 import farey.cli as cli
-from farey import Fraction, enumerate_farey, iterate_farey, right_neighbor
+from farey import Fraction, enumerate_farey, iterate_farey, left_neighbor, right_neighbor
 from farey.cli import main
 from helpers import totient_sum
 
@@ -305,6 +305,20 @@ class TestVerify:
         assert code == 1
         assert "jobs must be >= 1" in err
 
+    @staticmethod
+    def _triple_failure(method):
+        return (
+            f"order 3: {method} triple at 2/3 came out 0/1 1/3 1/2, enumeration says"
+            f" 1/2 2/3 1/1 (reproduce: farey triple 2 3 --method {method})"
+        )
+
+    @staticmethod
+    def _failure_json(failure, orders, triples):
+        return (
+            f'{{"failure":"{failure}","max_order":8,"mismatches":1,"ok":false,'
+            f'"orders":{orders},"triples":{triples}}}\n'
+        )
+
     def test_detects_planted_triple_mutation(self, capsys, monkeypatch):
         # Plant a wrong answer in each construction in turn; verify must name
         # the one that broke.
@@ -324,9 +338,7 @@ class TestVerify:
             code, out, err = run_cli(capsys, "verify", "8")
             monkeypatch.undo()
             assert code == 3
-            assert out.startswith("FAIL:")
-            assert f"{method} triple at" in out
-            assert f"--method {method})" in out
+            assert out == f"FAIL: {self._triple_failure(method)}\n"
             assert err == ""
 
     def test_detects_planted_triple_mutation_json(self, capsys, monkeypatch):
@@ -338,10 +350,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "triple", mutant)
         code, out, _ = run_cli(capsys, "verify", "8", "--json")
         assert code == 3
-        payload = json.loads(out)
-        assert payload["ok"] is False
-        assert payload["mismatches"] == 1
-        assert "reproduce" in payload["failure"]
+        assert out == self._failure_json(self._triple_failure("inverse"), 2, 3)
 
     def test_detects_planted_successor_mutation(self, capsys, monkeypatch):
         def mutant(x, order):
@@ -351,10 +360,48 @@ class TestVerify:
             return r
 
         monkeypatch.setattr(cli, "right_neighbor", mutant)
+        failure = (
+            "order 3: successor of 1/3 came out 2/3, enumeration says 1/2"
+            " (reproduce: farey next 1/3 3)"
+        )
         code, out, _ = run_cli(capsys, "verify", "8")
-        assert code == 3
-        assert out.startswith("FAIL:")
-        assert "successor of" in out
+        assert (code, out) == (3, f"FAIL: {failure}\n")
+        code, out, _ = run_cli(capsys, "--json", "verify", "8")
+        assert (code, out) == (3, self._failure_json(failure, 2, 1))
+
+    def test_detects_planted_predecessor_mutation(self, capsys, monkeypatch):
+        # A predecessor query that skips one term, except onto 0/1.
+        def mutant(x, order):
+            r = left_neighbor(x, order)
+            return left_neighbor(r.neighbor, order) if r.neighbor.num != 0 else r
+
+        monkeypatch.setattr(cli, "left_neighbor", mutant)
+        failure = (
+            "order 2: predecessor of 1/1 came out 0/1, enumeration says 1/2"
+            " (reproduce: farey prev 1/1 2)"
+        )
+        code, out, _ = run_cli(capsys, "verify", "8")
+        assert (code, out) == (3, f"FAIL: {failure}\n")
+        code, out, _ = run_cli(capsys, "--json", "verify", "8")
+        assert (code, out) == (3, self._failure_json(failure, 1, 0))
+
+    def test_detects_a_walk_that_fails_its_certificate(self, capsys, monkeypatch):
+        # A walk of F_5 that drops 1/3 fails the oracle's determinant check
+        # before any query runs on the broken pair.
+        real = cli._farey_walk
+
+        def mutant(order, cap):
+            return (t for t in real(order, cap) if order != 5 or t != Fraction(1, 3))
+
+        monkeypatch.setattr(cli, "_farey_walk", mutant)
+        failure = (
+            "order 5: adjacent pair 1/4, 2/5 has determinant 3, expected 1 at index 2"
+            " (reproduce: farey list 5)"
+        )
+        code, out, _ = run_cli(capsys, "verify", "8")
+        assert (code, out) == (3, f"FAIL: {failure}\n")
+        code, out, _ = run_cli(capsys, "--json", "verify", "8")
+        assert (code, out) == (3, self._failure_json(failure, 4, 6))
 
 
 class TestBench:
@@ -398,6 +445,33 @@ class TestBench:
             "max_ns": max(times),
             "reps": len(times),
         }
+
+    def test_chain_length_cells(self, capsys, monkeypatch):
+        # The seeded queries fix each row's chain lengths; timings are stubbed.
+        monkeypatch.setattr(bulk, "_time_ns", lambda fn, calls=1: 0)
+        code, out, _ = run_cli(capsys, "--json", "bench", "2,3,39,10^12", "--reps", "7")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(row["order"], row["chain_length"]) for row in rows] == [
+            (2, {"max": 0, "mean": "0.00"}),
+            (3, {"max": 1, "mean": "0.42"}),
+            (39, {"max": 4, "mean": "2.85"}),
+            (10**12, {"max": 26, "mean": "21.57"}),
+        ]
+        assert [row["oracle"] == "skipped" for row in rows] == [False, False, False, True]
+
+    def test_text_table_bytes(self, capsys, monkeypatch):
+        monkeypatch.setattr(bulk, "_time_ns", lambda fn, calls=1: 0)
+        code, out, _ = run_cli(capsys, "bench", "2,39", "--reps", "3")
+        assert code == 0
+        assert out == (
+            "           order  inverse med(ns)   chain med(ns)      cf med(ns)"
+            "    oracle med(ns)  len mean/max\n"
+            "               2                0               0               0"
+            "                 0        0.00/0\n"
+            "              39                0               0               0"
+            "                 0        3.33/4\n"
+        )
 
     def test_low_cap_skips_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "--cap", "3", "bench", "5", "--reps", "2", "--json")
@@ -640,13 +714,15 @@ class TestExitCodesAndCap:
             (None, ("triple", "5", "39", "--method", _LONG)),
             # repr puts a token holding ' in double quotes.
             (None, ("list", "' " * 3000)),
+            # argparse joins unrecognized tokens raw: no run in them is long.
+            (None, ("list", "3", "a " * 5000)),
         ],
         ids=[
             "cf", "list", "next", "bench", "env-cap",
             "verify-low", "bench-low", "jobs-low", "reps-low", "cap-low",
             "cf-outside", "next-nonmember", "command", "unrecognized",
             "next-order-low", "triple-num-low", "list-order-low", "method",
-            "double-quoted",
+            "double-quoted", "unrecognized-words",
         ],
     )
     def test_long_tokens_are_shortened_in_messages(self, capsys, monkeypatch, env, argv):
@@ -660,6 +736,17 @@ class TestExitCodesAndCap:
         assert len(err.encode()) < 200
         token = max((env or "", *argv), key=len)
         assert f"{token[:16]}..." in err
+
+    def test_a_line_still_long_after_the_run_cuts_is_cut_whole(self, capsys):
+        # "unrecognized arguments: " is 24 characters: a 176-character token
+        # makes a 200-character message, kept as it is; one more is cut to
+        # its first 100 and last 60 characters.
+        head = "usage error: unrecognized arguments: "
+        token = "ab " * 58 + "ab"
+        assert run_cli(capsys, "list", "3", token) == (1, "", f"{head}{token}\n")
+        code, out, err = run_cli(capsys, "list", "3", token + "c")
+        assert (code, out) == (1, "")
+        assert err == head + "ab " * 25 + "a..." + "ab " * 19 + "abc\n"
 
     def test_huge_power_is_refused_before_it_is_built(self, capsys):
         start = time.perf_counter()
@@ -1051,7 +1138,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 26 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 27 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
