@@ -48,6 +48,11 @@ check "cap env honored"        2 ""                             env FAREY_CAP=10
 check "bad cap env unread by cf" 0 "[0,2,1,3,2]"                env FAREY_CAP=lots farey cf 9/25
 check "bad cap env stops list" 1 ""                             env FAREY_CAP=lots farey list 5
 check "unknown method"         1 ""                             farey triple 5 39 --method nope
+# Argvs the command-table parse declines, answered by argparse's parse.
+check "abbreviated flag"       0 "1/8 5/39 4/31"                farey triple 5 39 --meth chain
+check "flag=value"             0 "1/8 5/39 4/31"                farey triple 5 39 --method=cf
+check "abbreviated json flag"  0 '{"center":"5/39","left":"1/8","order":39,"right":"4/31"}' farey --js triple 5 39
+check "-- before a positional" 0 "1/8 5/39 4/31"                farey triple 5 -- 39
 
 out="$(env -u FAREY_CAP farey bench 10^12 --reps 3 --json 2>/dev/null)"
 if [[ $? == 0 && "$out" == *'"oracle":"skipped"'* ]]; then

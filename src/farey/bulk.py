@@ -11,7 +11,6 @@ O(1) terms whatever the order.  Queries, walks and bench rows go through
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 from itertools import islice
@@ -28,7 +27,7 @@ from .triples import _euclid
 _CHUNK = 4096
 
 
-def cmd_list(args: argparse.Namespace) -> int:
+def cmd_list(args) -> int:
     order = args.order
     terms = map(str, cli._farey_walk(order, cli._resolve_cap(args)))
     if args.json:
@@ -127,7 +126,7 @@ def _verify_results(orders: range, cap: int, jobs: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args) -> int:
     cap = cli._resolve_cap(args)
     cli._bounded(args.max_order, "max order", 2)
     cli._bounded(args.jobs, "jobs", 1)
@@ -221,7 +220,7 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
     return row
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args) -> int:
     cap = cli._resolve_cap(args)
     try:
         orders = [cli._parse_count(token) for token in args.orders.split(",")]

@@ -22,9 +22,9 @@ may exceed MAX_CAP (100,000,000 terms).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import _load
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
@@ -78,22 +78,6 @@ class UsageError(Exception):
 class OutputError(Exception):
     """stdout cannot take the results; exit code 1, reported on stderr
     unless the reader closed the pipe."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; 2 is reserved for the
-    # enumeration cap here, so route usage problems through an exception.
-    def error(self, message):
-        raise UsageError(message)
-
-    # argparse ignores a failed write, so --help would exit 0 having written
-    # nothing; its text is output like any result.
-    def _print_message(self, message, file=None):
-        if message:
-            try:
-                (file or sys.stderr).write(message)
-            except OSError as exc:
-                raise OutputError(exc) from exc
 
 
 def _digit_limit() -> int:
@@ -158,20 +142,7 @@ def _bounded(value: int, what: str, low: int, high: int | None = None) -> int:
     return value
 
 
-def _token(parse):
-    """An argparse type that parses a token with ``parse``; its DomainError
-    becomes the usage error argparse reports."""
-
-    def convert(text: str):
-        try:
-            return parse(text)
-        except DomainError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return convert
-
-
-def _resolve_cap(args: argparse.Namespace) -> int:
+def _resolve_cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("FAREY_CAP")
@@ -200,7 +171,7 @@ def _print_json(payload) -> None:
     _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _answer(args: argparse.Namespace, payload, text: str) -> int:
+def _answer(args, payload, text: str) -> int:
     """Print ``payload`` as canonical JSON under --json, else ``text``; EXIT_OK."""
     if args.json:
         _print_json(payload)
@@ -226,7 +197,7 @@ def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> Farey
     return _cli.triple_via_cf(Fraction._from_coprime(n, order))
 
 
-def cmd_triple(args: argparse.Namespace) -> int:
+def cmd_triple(args) -> int:
     cap = _resolve_cap(args) if args.method == "oracle" else None
     result = _triple_by_method(args.num, args.order, args.method, cap)
     left, center, right = str(result.left), str(result.center), str(result.right)
@@ -244,23 +215,23 @@ def _neighbor_json(result, side: str) -> dict:
     }
 
 
-def cmd_next(args: argparse.Namespace) -> int:
+def cmd_next(args) -> int:
     result = _cli.right_neighbor(args.fraction, args.order)
     return _answer(args, _neighbor_json(result, "right"), f"{result.neighbor} (l={result.steps})")
 
 
-def cmd_prev(args: argparse.Namespace) -> int:
+def cmd_prev(args) -> int:
     result = _cli.left_neighbor(args.fraction, args.order)
     return _answer(args, _neighbor_json(result, "left"), str(result.neighbor))
 
 
-def cmd_cf(args: argparse.Namespace) -> int:
+def cmd_cf(args) -> int:
     expansion = _cli.cf_expand(args.fraction)
     payload = {"fraction": str(args.fraction), "coefficients": list(expansion.coeffs)}
     return _answer(args, payload, str(expansion))
 
 
-def cmd_chain(args: argparse.Namespace) -> int:
+def cmd_chain(args) -> int:
     chain = reduction_chain(args.fraction)
     quotients, terminal, k = list(chain.quotients), chain.terminal, len(chain.quotients)
     payload = {"start": str(chain.start), "quotients": quotients, "terminal": terminal, "k": k}
@@ -269,20 +240,19 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 # The grammar of each command: its help line, then its arguments in order,
-# each a positional name or a --flag with its add_argument settings (next and
-# prev share theirs, as do cf and chain).  Every command also takes the shared
-# flags of _add_common.
-_COUNT = _token(_parse_count)
-_FRACTION = _token(_parse_fraction)
-_A_FRACTION = {"fraction": {"type": _FRACTION}}
-_FRACTION_ORDER = {"fraction": {"type": _FRACTION}, "order": {"type": _COUNT}}
+# each a positional name or a --flag with its add_argument settings, a type
+# being the raw parser (next and prev share theirs, as do cf and chain).
+# Every command also takes the _SHARED flags, before or after its name.
+_A_FRACTION = {"fraction": {"type": _parse_fraction}}
+_AN_ORDER = {"order": {"type": _parse_count}}
+_FRACTION_ORDER = {**_A_FRACTION, **_AN_ORDER}
 _COMMANDS = {
-    "list": ("print every term of the sequence of a given order", {"order": {"type": _COUNT}}),
+    "list": ("print every term of the sequence of a given order", _AN_ORDER),
     "triple": (
         "the term n/order and its two neighbors",
         {
-            "num": {"type": _COUNT},
-            "order": {"type": _COUNT},
+            "num": {"type": _parse_count},
+            **_AN_ORDER,
             "--method": {
                 "choices": (*_CONSTRUCTIONS, "oracle"),
                 "default": "inverse",
@@ -297,9 +267,9 @@ _COMMANDS = {
     "verify": (
         "cross-check fast paths against enumeration for all orders up to a bound",
         {
-            "max_order": {"type": _COUNT},
+            "max_order": {"type": _parse_count},
             "--jobs": {
-                "type": _COUNT,
+                "type": _parse_count,
                 "default": 1,
                 "help": "worker processes (default 1; at most one per CPU and per order)",
             },
@@ -310,48 +280,112 @@ _COMMANDS = {
         {
             "orders": {"help": "comma-separated orders; 10^12 notation allowed"},
             "--reps": {
-                "type": _COUNT,
+                "type": _parse_count,
                 "default": 25,
                 "help": f"queries per cell (default 25, at most {MAX_REPS:,})",
             },
         },
     ),
 }
-
-
-def _add_common(parser: argparse.ArgumentParser, root: bool = False) -> None:
-    # Subparsers copy their whole namespace over the root one, so their
-    # copies of the shared flags must not carry defaults: SUPPRESS keeps an
-    # unset subcommand flag from erasing a value given before the command.
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=False if root else argparse.SUPPRESS,
-        help="emit one canonical JSON document (sorted keys, no floats)",
-    )
-    parser.add_argument(
-        "--cap",
-        type=_token(lambda text: _bounded(_parse_count(text), "cap", 1, MAX_CAP)),
-        default=None if root else argparse.SUPPRESS,
-        metavar="TERMS",
-        help=f"refuse to enumerate more than this many terms (default"
+_SHARED = {
+    "--json": {
+        "action": "store_true",
+        "default": False,
+        "help": "emit one canonical JSON document (sorted keys, no floats)",
+    },
+    "--cap": {
+        "type": lambda text: _bounded(_parse_count(text), "cap", 1, MAX_CAP),
+        "default": None,
+        "metavar": "TERMS",
+        "help": f"refuse to enumerate more than this many terms (default"
         f" {DEFAULT_CAP:,}, at most {MAX_CAP:,}; FAREY_CAP overrides, this flag wins)",
-    )
+    },
+}
 
 
-def build_parser() -> _Parser:
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() gives ``argv`` if the tables above describe
+    it exactly: shared flags, a command, then its positionals and flags in any
+    order, each flag by its full name with its value as the next token.  Else
+    None: help, an abbreviation, --flag=value, --, a token that its parser or
+    choices refuse, or a missing or extra argument."""
+    args, table, positionals = {}, _SHARED, None
+    words = iter(argv)
+    try:
+        for word in words:
+            if word[:1] == "-":
+                name, settings = word[2:].replace("-", "_"), table[word]
+                word = "" if "action" in settings else next(words)  # store_true: no value
+                if word[:1] == "-":
+                    return None
+            elif positionals is None:
+                args["command"], table = word, {**_COMMANDS[word][1], **_SHARED}
+                positionals = [name for name in table if name[0] != "-"]
+                continue
+            else:
+                name = positionals.pop(0)
+                settings = table[name]
+            value = True if "action" in settings else settings.get("type", str)(word)
+            if value not in settings.get("choices", (value,)):
+                return None
+            args[name] = value
+    except (ValueError, LookupError, StopIteration):
+        return None
+    if positionals is None or positionals:
+        return None
+    for flag, settings in table.items():
+        if flag[0] == "-":
+            args.setdefault(flag[2:].replace("-", "_"), settings["default"])
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of the tables above."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage; 2 is reserved for the
+        # enumeration cap here, so route usage problems through an exception.
+        def error(self, message):
+            raise UsageError(message)
+
+        # argparse ignores a failed write, so --help would exit 0 having
+        # written nothing; its text is output like any result.
+        def _print_message(self, message, file=None):
+            if message:
+                try:
+                    (file or sys.stderr).write(message)
+                except OSError as exc:
+                    raise OutputError(exc) from exc
+
+    def token(parse):
+        # An argparse type whose DomainError is the usage error argparse reports.
+        def convert(text: str):
+            try:
+                return parse(text)
+            except DomainError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return convert
+
+    def add(parser, arguments, **overrides):
+        for name, settings in arguments.items():
+            wrapped = {"type": token(settings["type"])} if "type" in settings else {}
+            parser.add_argument(name, **{**settings, **wrapped, **overrides})
+
     parser = _Parser(
         prog="farey",
         description="Exact Farey sequence queries: triples, neighbors,"
         " continued fractions, verification, benchmarks.",
     )
-    _add_common(parser, root=True)
+    add(parser, _SHARED)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_line, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        for argument, settings in arguments.items():
-            p.add_argument(argument, **settings)
-        _add_common(p)
+        add(p, arguments)
+        # Subparsers copy their namespace over the root one: SUPPRESS keeps
+        # an unset shared flag from erasing a value given before the command.
+        add(p, _SHARED, default=argparse.SUPPRESS)
     return parser
 
 
@@ -372,8 +406,9 @@ def _report(kind: str, message) -> None:
 
 
 def _run(argv: list[str] | None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain(argv) or build_parser().parse_args(argv)
     except UsageError as exc:
         _report("usage error", exc)
         return EXIT_USAGE

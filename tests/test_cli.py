@@ -985,6 +985,67 @@ def test_exit_code_contract_holds_for_random_argv(monkeypatch):
         InlinePool.submitted = 0
 
 
+class TestPlainParse:
+    """A plain argv is parsed from the command table without argparse, into
+    the namespace argparse would give; any other argv goes to argparse."""
+
+    def test_a_plain_parse_is_the_argparse_parse(self):
+        @settings(max_examples=500, deadline=None, database=None)
+        @given(_argv())
+        def check(argv):
+            plain = cli._plain(argv)
+            if plain is not None:
+                assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+        check()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "triple 5 39",
+            "--json triple 5 39 --json",
+            "--cap 5 triple 5 --method cf 39 --cap 7",
+            "next 9/25 100",
+            "prev 9/25 25",
+            "cf 9/25",
+            "chain 5/39",
+            "list 10^2",
+            "verify 12 --jobs 2",
+            "bench 5,10^12 --reps 2",
+        ],
+    )
+    def test_a_plain_argv_is_parsed_from_the_table(self, argv):
+        plain = cli._plain(argv.split())
+        assert plain is not None
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv.split()))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "triple 5 39 --meth chain",
+            "triple 5 39 --method=cf",
+            "--js triple 5 39",
+            "triple 5 -- 39",
+            "triple 5",
+            "triple 5 39 7",
+            "list -3",
+            "--help",
+            "triple 5 39 -h",
+            "--cap 0 triple 5 39",
+            "triple 5 39 --method scan",
+            "triple 5 39 --method",
+            "triple 5 39 --jobs 2",
+            "frob 5",
+            "",
+            # argparse refuses a flag value that looks like a flag but not
+            # like a negative number, whatever _parse_count makes of it.
+            "bench 5 --reps -1_0",
+        ],
+    )
+    def test_anything_else_goes_to_argparse(self, argv):
+        assert cli._plain(argv.split()) is None
+
+
 class _Sink:
     """Stands in for stdout and keeps only a byte count and a hash of what
     it is given, so the output itself holds no memory."""
@@ -1138,7 +1199,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 27 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 31 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
@@ -1172,7 +1233,27 @@ _MODULES_PROBE = (
     "finally:\n"
     "    print(*sorted(sys.modules), file=sys.stderr)\n"
 )
-_ON_DEMAND = ("farey.cf", "farey.oracle", "farey.neighbors", "farey.bulk", "concurrent.futures", "json")
+_ON_DEMAND = (
+    "farey.cf",
+    "farey.oracle",
+    "farey.neighbors",
+    "farey.bulk",
+    "concurrent.futures",
+    "json",
+    "argparse",
+    "locale",
+)
+
+
+def _probe_modules(argv):
+    """Run _MODULES_PROBE on ``argv`` in a child interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
 
 
 class TestImportsOnDemand:
@@ -1188,21 +1269,23 @@ class TestImportsOnDemand:
                 (["next", "9/25", "100"], ("farey.neighbors",)),
                 (["prev", "9/25", "25"], ("farey.neighbors",)),
                 (["cf", "9/25"], ("farey.cf",)),
+                (["verify", "12"], ("farey.bulk", "farey.oracle", "farey.neighbors", "farey.cf")),
             )
         ],
     )
     def test_a_query_loads_only_its_own_modules(self, argv, loaded):
-        proc = subprocess.run(
-            [sys.executable, "-c", _MODULES_PROBE, *argv],
-            capture_output=True,
-            text=True,
-            env=_src_env(),
-            timeout=60,
-        )
+        proc = _probe_modules(argv)
         assert proc.returncode == 0, proc.stderr
         modules = set(proc.stderr.split())
         assert "farey.cli" in modules
         assert sorted(m for m in _ON_DEMAND if m in modules) == sorted(loaded)
+
+    def test_a_usage_error_loads_argparse_for_its_message(self):
+        proc = _probe_modules(["triple", "5"])
+        assert proc.returncode == 1
+        message, _, modules = proc.stderr.partition("\n")
+        assert message == "usage error: the following arguments are required: order"
+        assert "argparse" in modules.split()
 
     def test_bare_package_import_loads_no_submodule(self):
         probe = "import sys, farey; print(sorted(m for m in sys.modules if m.startswith('farey.')))"
