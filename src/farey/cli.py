@@ -316,7 +316,7 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
             if word[:1] == "-":
                 name, settings = word[2:].replace("-", "_"), table[word]
                 word = "" if "action" in settings else next(words)  # store_true: no value
-                if word[:1] == "-":
+                if word[:1] == "-":  # argparse may read it as a flag
                     return None
             elif positionals is None:
                 args["command"], table = word, {**_COMMANDS[word][1], **_SHARED}
