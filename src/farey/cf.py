@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .fraction import Fraction
-from .record import Record, _set
-from .triples import FareyTriple, ReductionChain, _chain_of, _euclid
+from .record import Record, _new, _set
+from .triples import FareyTriple, ReductionChain, _chain_of, _checked, _euclid
 
 
 class ContinuedFraction(Record):
@@ -125,4 +125,4 @@ def triple_via_cf(center: Fraction) -> FareyTriple:
         left, right = truncated, lowered
     else:
         left, right = lowered, truncated
-    return FareyTriple(left, center, right, center.den)
+    return _checked(_new(FareyTriple), left, center, right, center.den)

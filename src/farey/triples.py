@@ -8,7 +8,8 @@ solution would differ by a multiple of (n, N), pushing d out of range).
 Reading the determinant modulo N gives n*d = -1 (mod N), so
 d = N - n^(-1) mod N and c = (1 + n*d) / N: ``pow(n, -1, N)``.  The left
 neighbor is then (n - c)/(N - d), because the center of a Farey triple is
-the mediant of its outer terms.  ``triple`` serves queries this way.
+the mediant of its outer terms.  ``triple`` serves queries this way, and
+the inverse, which exists exactly when gcd(n, N) = 1, is its gcd check.
 
 The paper's construction reaches the same triple in O(log N) exact integer
 steps and is kept as a reproduction that ``farey verify`` checks:
@@ -123,15 +124,23 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
     return FareyTriple(send(triple.right), send(triple.center), send(triple.left), order)
 
 
-def check_center(n: int, order: int) -> None:
-    """Require n/order to be a valid triple center: order >= 2,
-    1 <= n < order and gcd(n, order) == 1."""
+def _check_range(n: int, order: int) -> None:
     if order < 2:
         raise DomainError(f"order must be >= 2, got {order}")
     if not 1 <= n < order:
         raise DomainError(f"numerator must satisfy 1 <= n < {order}, got {n}")
+
+
+def _reducible(n: int, order: int) -> DomainError:
+    return DomainError(f"{n}/{order} not irreducible")
+
+
+def check_center(n: int, order: int) -> None:
+    """Require n/order to be a valid triple center: order >= 2, 1 <= n < order
+    and gcd(n, order) == 1.  ``triple`` runs no gcd; its inverse decides that."""
+    _check_range(n, order)
     if gcd(n, order) != 1:
-        raise DomainError(f"{n}/{order} not irreducible")
+        raise _reducible(n, order)
 
 
 def _euclid(n: int, order: int) -> tuple[list[int], int]:
@@ -221,12 +230,15 @@ def _chain_triple(n: int, order: int) -> FareyTriple:
 def triple(n: int, order: int) -> FareyTriple:
     """The three consecutive terms of F_order centered on n/order.
 
-    One modular inverse gives the right neighbor c/d, and the left one is
-    (n - c)/(order - d).  Agrees with the quotient chain, the continued
-    fraction and the enumerated sequence for every valid input.
+    One modular inverse, which exists exactly when gcd(n, order) == 1 and so
+    is the irreducibility check, gives the right neighbor c/d; the left one
+    is (n - c)/(order - d).  Agrees with every other route on valid input.
     """
-    check_center(n, order)
-    c, d = _base_successor(n, order)
+    _check_range(n, order)
+    try:
+        c, d = _base_successor(n, order)
+    except ValueError:
+        raise _reducible(n, order) from None
     # Both outer pairs have cross determinant 1 with n/order, so all three
     # terms are reduced.
     return _checked(
