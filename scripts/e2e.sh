@@ -80,5 +80,19 @@ else
     echo "E2E FAIL: a long line of short words is cut as a whole; got ${#err} bytes: ${err:0:200}"
 fi
 
+# One check: every route refuses a huge reducible center with one cut line.
+want="error: 6/10000000000000...0000000000000000 not irreducible"
+bad=""
+for method in inverse chain cf; do
+    err="$(env -u FAREY_CAP farey triple 6 10^100 --method "$method" 2>&1 >/dev/null)"
+    [[ $? == 1 && "$err" == "$want" ]] || bad+=" $method: ${err:0:200};"
+done
+if [[ -z "$bad" ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: a huge reducible center gets one error line on every route;$bad"
+fi
+
 echo "e2e: $pass passed, $fail failed"
 [[ "$fail" == 0 ]]

@@ -27,6 +27,7 @@ from farey import (
     right_neighbor,
     left_neighbor,
     triple,
+    triple_via_cf,
     verify_properties,
 )
 from farey.triples import _chain_triple
@@ -200,7 +201,7 @@ def test_queries_build_the_records_the_public_constructors_build(pair, extra):
     # The queries fill bare records on a fast path; each record must be the
     # one the validating keyword constructors make from the same fields.
     n, order = pair
-    for t in (triple(n, order), _chain_triple(n, order)):
+    for t in (triple(n, order), _chain_triple(n, order), triple_via_cf(Fraction(n, order))):
         twin = FareyTriple(
             left=_fresh(t.left), center=_fresh(t.center), right=_fresh(t.right), order=order
         )

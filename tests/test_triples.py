@@ -1,5 +1,7 @@
 """Tests for triple construction: adjacency, reduction chains, lifting."""
 
+import traceback
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from farey import (
     triple_by_scan,
     triple_via_cf,
 )
-from farey import triples
+from farey import cli, triples
 from helpers import are_adjacent, sweep
 from strats import coprime_pairs, farey_triples
 
@@ -319,3 +321,59 @@ class TestTriple:
         assert t.center == Fraction(n, order)
         assert t.order == order
         assert t.left < t.center < t.right
+
+
+@st.composite
+def _reducible_pairs(draw, max_order: int = 10**40):
+    """(g*a, g*b) with g >= 2 and 1 <= a < b, so 1 <= n < order <= max_order."""
+    b = draw(st.integers(min_value=2, max_value=max_order // 2))
+    g = draw(st.integers(min_value=2, max_value=max_order // b))
+    a = draw(st.integers(min_value=1, max_value=b - 1))
+    return g * a, g * b
+
+
+class TestIrreducibility:
+    """Every route refuses a reducible center with one message; ``triple``
+    gets that answer from its modular inverse, the others from a gcd."""
+
+    ROUTES = ("inverse", "chain", "cf")
+
+    @given(_reducible_pairs())
+    def test_every_route_names_a_reducible_center(self, pair):
+        n, order = pair
+        for method in self.ROUTES:
+            with pytest.raises(DomainError) as err:
+                cli._triple_by_method(n, order, method, None)
+            assert str(err.value) == f"{n}/{order} not irreducible"
+
+    @pytest.mark.parametrize(
+        "n, order, message",
+        [
+            (0, 6, "numerator must satisfy 1 <= n < 6, got 0"),
+            (6, 6, "numerator must satisfy 1 <= n < 6, got 6"),
+            (1, 1, "order must be >= 2, got 1"),
+            (0, 1, "order must be >= 2, got 1"),
+        ],
+    )
+    def test_out_of_range_gets_the_range_message(self, n, order, message):
+        for method in self.ROUTES:
+            with pytest.raises(DomainError) as err:
+                cli._triple_by_method(n, order, method, None)
+            assert str(err.value) == message
+
+    def test_the_served_route_runs_no_gcd(self, monkeypatch):
+        def no_gcd(a, b):
+            raise AssertionError("gcd called")
+
+        monkeypatch.setattr(triples, "gcd", no_gcd)
+        t = triple(5, 39)
+        assert (t.left, t.center, t.right) == (_f("1/8"), _f("5/39"), _f("4/31"))
+        with pytest.raises(AssertionError, match="gcd called"):
+            triples.check_center(5, 39)
+
+    def test_the_refusal_hides_the_inverse_error(self):
+        with pytest.raises(DomainError) as err:
+            triple(2, 4)
+        shown = "".join(traceback.format_exception(err.value))
+        assert "2/4 not irreducible" in shown
+        assert "ValueError" not in shown
