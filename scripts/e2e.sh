@@ -94,5 +94,14 @@ else
     echo "E2E FAIL: a huge reducible center gets one error line on every route;$bad"
 fi
 
+# The oracle's walk refuses a reducible center with the same line.
+err="$(env -u FAREY_CAP farey triple 6 10 --method oracle 2>&1 >/dev/null)"
+if [[ $? == 1 && "$err" == "error: 6/10 not irreducible" ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: the oracle refuses 6/10; got: ${err:0:200}"
+fi
+
 echo "e2e: $pass passed, $fail failed"
 [[ "$fail" == 0 ]]

@@ -28,6 +28,7 @@ class ContinuedFraction(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise DomainError("a continued fraction needs at least one coefficient")
         if coeffs[0] < 0:

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from . import _load
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
 from .fraction import Fraction
-from .triples import FareyTriple, _chain_triple, check_center, reduction_chain, triple
+from .triples import FareyTriple, _chain_triple, _check_range, reduction_chain, triple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,9 +191,10 @@ def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> Farey
         return triple(n, order)
     if method == "oracle":
         return _cli.triple_by_scan(n, order, cap)
-    check_center(n, order)
     if method == "chain":
         return _chain_triple(n, order)
+    # The cf route's Euclid refuses a reducible n/order.
+    _check_range(n, order)
     return _cli.triple_via_cf(Fraction._from_coprime(n, order))
 
 

@@ -13,3 +13,11 @@ class DomainError(ValueError):
 
 class CapExceededError(RuntimeError):
     """An enumeration would produce more terms than the configured cap."""
+
+
+def _shown(k: int) -> str:
+    """str(k), or k's sign and bit length once past the int-to-str digit limit."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"{'a negative' if k < 0 else 'an'} int of {k.bit_length()} bits"

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
 from .fraction import Fraction, cross_det
 from .record import Record, _set
-from .triples import FareyTriple, check_center
+from .triples import FareyTriple, _check_range, _reducible
 
 
 class FareySequence(Record):
@@ -26,7 +26,7 @@ class FareySequence(Record):
 
     def __init__(self, order: int, terms: tuple[Fraction, ...]):
         _set(self, "order", order)
-        _set(self, "terms", terms)
+        _set(self, "terms", tuple(terms))
 
     def __len__(self):
         return len(self.terms)
@@ -188,12 +188,15 @@ def triple_by_scan(n: int, order: int, cap: int | None = DEFAULT_CAP) -> FareyTr
     """Walk F_order up to n/order and read off the triple around it.
 
     Quadratic in ``order``; exists as the ground truth the O(log) paths are
-    compared against.  The cap applies to the whole of F_order.
+    compared against.  The cap applies to the whole of F_order.  The first
+    term at or past n/order has denominator ``order`` only if n/order is reduced.
     """
     terms = _farey_walk(order, cap)
-    check_center(n, order)
+    _check_range(n, order)
     left = None
     for f in terms:
-        if f.num == n and f.den == order:
+        if f.num * order >= n * f.den:
+            if f.den != order:
+                raise _reducible(n, order)
             return FareyTriple(left, f, next(terms), order)
         left = f

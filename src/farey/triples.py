@@ -9,13 +9,13 @@ Reading the determinant modulo N gives n*d = -1 (mod N), so
 d = N - n^(-1) mod N and c = (1 + n*d) / N: ``pow(n, -1, N)``.  The left
 neighbor is then (n - c)/(N - d), because the center of a Farey triple is
 the mediant of its outer terms.  ``triple`` serves queries this way, and
-the inverse, which exists exactly when gcd(n, N) = 1, is its gcd check.
+the inverse, which exists exactly when gcd(n, N) = 1, decides irreducibility.
 
 The paper's construction reaches the same triple in O(log N) exact integer
 steps and is kept as a reproduction that ``farey verify`` checks:
 
   1. reduce the center by Euclidean quotient steps n/N -> n'/n until the
-     numerator reaches 1 (``reduction_chain``),
+     numerator reaches 1, refusing n/N if it reaches 0 (``reduction_chain``),
   2. take the first three terms of F_T for the terminal order T reached,
      which are always 0/1, 1/T, 1/(T-1) (``base_triple``),
   3. replay the recorded quotients in reverse, each step sending a/b to
@@ -35,9 +35,7 @@ nothing is lost by skipping the intermediate triples.  ``lift_step`` and
 
 from __future__ import annotations
 
-from math import gcd
-
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .fraction import Fraction, _coprime
 from .record import Record, _new, _set, _setters
 
@@ -92,6 +90,7 @@ class ReductionChain(Record):
     __slots__ = ("quotients", "terminal", "start")
 
     def __init__(self, quotients: tuple[int, ...], terminal: int, start: Fraction):
+        quotients = tuple(quotients)
         if terminal < 2:
             raise DomainError(f"terminal order must be >= 2, got {terminal}")
         if any(q < 1 for q in quotients):
@@ -126,32 +125,27 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
 
 def _check_range(n: int, order: int) -> None:
     if order < 2:
-        raise DomainError(f"order must be >= 2, got {order}")
+        raise DomainError(f"order must be >= 2, got {_shown(order)}")
     if not 1 <= n < order:
-        raise DomainError(f"numerator must satisfy 1 <= n < {order}, got {n}")
+        raise DomainError(f"numerator must satisfy 1 <= n < {_shown(order)}, got {_shown(n)}")
 
 
 def _reducible(n: int, order: int) -> DomainError:
-    return DomainError(f"{n}/{order} not irreducible")
-
-
-def check_center(n: int, order: int) -> None:
-    """Require n/order to be a valid triple center: order >= 2, 1 <= n < order
-    and gcd(n, order) == 1.  ``triple`` runs no gcd; its inverse decides that."""
-    _check_range(n, order)
-    if gcd(n, order) != 1:
-        raise _reducible(n, order)
+    return DomainError(f"{_shown(n)}/{_shown(order)} not irreducible")
 
 
 def _euclid(n: int, order: int) -> tuple[list[int], int]:
     """(quotients, terminal) of the steps n/order -> (order mod n)/n that
-    end at numerator 1; needs gcd(n, order) == 1 and n >= 1."""
+    end at numerator 1, for 1 <= n < order; refuses n/order if they hit 0."""
     quotients = []
-    while n > 1:
-        q = order // n
+    a, b = n, order
+    while a > 1:
+        q = b // a
         quotients.append(q)
-        n, order = order - q * n, n
-    return quotients, order
+        a, b = b - q * a, a
+    if a == 0:
+        raise _reducible(n, order)
+    return quotients, b
 
 
 def _chain_of(center: Fraction) -> tuple[list[int], int]:
@@ -178,9 +172,9 @@ def _lift(quotients: list[int] | tuple[int, ...], terminal: int) -> tuple[int, i
 def reduction_chain(center: Fraction) -> ReductionChain:
     """Record the quotient steps that take center = n/N down to 1/terminal.
 
-    One step maps n/N to (N mod n)/n, recording the quotient N // n.  Since
-    gcd stays 1 throughout, the numerator must eventually hit 1; the
-    denominator at that moment is the terminal order.
+    One step maps n/N to (N mod n)/n, recording the quotient N // n.  The
+    numerators are Euclid's remainders, which hit 1 when n/N is reduced and
+    0 (refused) otherwise; the denominator at 1 is the terminal order.
     """
     quotients, terminal = _chain_of(center)
     return ReductionChain(tuple(quotients), terminal, center)
@@ -192,7 +186,7 @@ def base_triple(order: int) -> FareyTriple:
     This is the triple the lift starts from; it is the only shape a
     numerator-1 center can have.
     """
-    check_center(1, order)
+    _check_range(1, order)  # gcd(1, order) is always 1
     return FareyTriple(_coprime(0, 1), _coprime(1, order), _coprime(1, order - 1), order)
 
 
@@ -222,7 +216,8 @@ def _base_successor(a: int, b: int) -> tuple[int, int]:
 
 def _chain_triple(n: int, order: int) -> FareyTriple:
     """The triple around n/order by the paper's quotient chain: reduce,
-    start from the base triple, lift.  Needs check_center(n, order)."""
+    start from the base triple, lift; the reduction refuses a reducible n/order."""
+    _check_range(n, order)
     a, b, c, d = _lift(*_euclid(n, order))
     return _checked(_new(FareyTriple), _coprime(a, b), _coprime(n, order), _coprime(c, d), order)
 

@@ -1199,7 +1199,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 32 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 33 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(

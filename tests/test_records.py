@@ -234,6 +234,33 @@ def test_keyword_construction():
     assert FareySequence(order=2, terms=seq.terms) == seq
 
 
+@pytest.mark.parametrize(
+    "items, build, twin",
+    [
+        (
+            lambda: [7, 1],
+            lambda q: ReductionChain(q, 4, Fraction(5, 39)),
+            lambda: reduction_chain(Fraction(5, 39)),
+        ),
+        (lambda: [0, 2], ContinuedFraction, lambda: cf_expand(Fraction(1, 2))),
+        (
+            lambda: list(enumerate_farey(3)),
+            lambda terms: FareySequence(3, terms),
+            lambda: enumerate_farey(3),
+        ),
+    ],
+    ids=["ReductionChain", "ContinuedFraction", "FareySequence"],
+)
+def test_a_list_builds_the_tuple_built_record(items, build, twin):
+    # The record keeps its own tuple: equal and hashable like the twin, and
+    # deaf to later changes to the caller's list.
+    items = items()
+    built = build(items)
+    _assert_same_record(built, twin())
+    items.append(items[0])
+    assert built == twin()
+
+
 def test_cli_import_loads_neither_dataclasses_nor_json():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

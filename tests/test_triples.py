@@ -21,7 +21,7 @@ from farey import (
     triple_by_scan,
     triple_via_cf,
 )
-from farey import cli, triples
+from farey import cli, fraction, triples
 from helpers import are_adjacent, sweep
 from strats import coprime_pairs, farey_triples
 
@@ -333,10 +333,18 @@ def _reducible_pairs(draw, max_order: int = 10**40):
 
 
 class TestIrreducibility:
-    """Every route refuses a reducible center with one message; ``triple``
-    gets that answer from its modular inverse, the others from a gcd."""
+    """Every route refuses a reducible center with one message, each from its
+    own arithmetic: ``triple`` from its modular inverse, the chain and cf
+    routes from Euclid's remainder reaching 0, and the oracle from the
+    denominator of the first term its walk finds at or past the center."""
 
     ROUTES = ("inverse", "chain", "cf")
+    RANGE_CASES = [
+        (0, 6, "numerator must satisfy 1 <= n < 6, got 0"),
+        (6, 6, "numerator must satisfy 1 <= n < 6, got 6"),
+        (1, 1, "order must be >= 2, got 1"),
+        (0, 1, "order must be >= 2, got 1"),
+    ]
 
     @given(_reducible_pairs())
     def test_every_route_names_a_reducible_center(self, pair):
@@ -346,30 +354,62 @@ class TestIrreducibility:
                 cli._triple_by_method(n, order, method, None)
             assert str(err.value) == f"{n}/{order} not irreducible"
 
-    @pytest.mark.parametrize(
-        "n, order, message",
-        [
-            (0, 6, "numerator must satisfy 1 <= n < 6, got 0"),
-            (6, 6, "numerator must satisfy 1 <= n < 6, got 6"),
-            (1, 1, "order must be >= 2, got 1"),
-            (0, 1, "order must be >= 2, got 1"),
-        ],
-    )
+    @given(_reducible_pairs(max_order=300))
+    def test_the_oracle_names_a_reducible_center(self, pair):
+        n, order = pair
+        with pytest.raises(DomainError) as err:
+            cli._triple_by_method(n, order, "oracle", None)
+        assert str(err.value) == f"{n}/{order} not irreducible"
+
+    @pytest.mark.parametrize("n, order, message", RANGE_CASES)
     def test_out_of_range_gets_the_range_message(self, n, order, message):
         for method in self.ROUTES:
             with pytest.raises(DomainError) as err:
                 cli._triple_by_method(n, order, method, None)
             assert str(err.value) == message
 
-    def test_the_served_route_runs_no_gcd(self, monkeypatch):
+    @pytest.mark.parametrize("n, order, message", RANGE_CASES)
+    def test_the_oracle_gets_the_range_message(self, n, order, message):
+        with pytest.raises(DomainError) as err:
+            cli._triple_by_method(n, order, "oracle", None)
+        assert str(err.value) == message
+
+    def test_no_route_runs_a_gcd(self, monkeypatch):
+        expected = (_f("1/8"), _f("5/39"), _f("4/31"))  # Fraction() runs a gcd
+
         def no_gcd(a, b):
             raise AssertionError("gcd called")
 
-        monkeypatch.setattr(triples, "gcd", no_gcd)
-        t = triple(5, 39)
-        assert (t.left, t.center, t.right) == (_f("1/8"), _f("5/39"), _f("4/31"))
-        with pytest.raises(AssertionError, match="gcd called"):
-            triples.check_center(5, 39)
+        monkeypatch.setattr(triples, "gcd", no_gcd, raising=False)
+        monkeypatch.setattr(fraction, "gcd", no_gcd)
+        for method in ("inverse", "chain", "cf", "oracle"):
+            t = cli._triple_by_method(5, 39, method, None)
+            assert (t.left, t.center, t.right) == expected
+            with pytest.raises(DomainError) as err:
+                cli._triple_by_method(2, 4, method, None)
+            assert str(err.value) == "2/4 not irreducible"
+
+    def test_ints_past_the_digit_limit_get_a_domain_error(self):
+        # str() refuses an int of more than 4300 digits; the message shows
+        # such an int by its sign and bit length instead.
+        big = 2 * 10**5000
+        cases = [
+            (big, 2 * big, "an int of 16611 bits/an int of 16612 bits not irreducible"),
+            (2 * big, big, "numerator must satisfy 1 <= n < an int of 16611 bits,"
+                           " got an int of 16612 bits"),
+            (1, -big, "order must be >= 2, got a negative int of 16611 bits"),
+        ]
+        for n, order, message in cases:
+            for method in self.ROUTES:
+                with pytest.raises(DomainError) as err:
+                    cli._triple_by_method(n, order, method, None)
+                assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            cli._triple_by_method(big, 7, "oracle", None)
+        assert str(err.value) == "numerator must satisfy 1 <= n < 7, got an int of 16611 bits"
+        with pytest.raises(DomainError) as err:
+            base_triple(-big)
+        assert str(err.value) == "order must be >= 2, got a negative int of 16611 bits"
 
     def test_the_refusal_hides_the_inverse_error(self):
         with pytest.raises(DomainError) as err:
