@@ -103,5 +103,30 @@ else
     echo "E2E FAIL: the oracle refuses 6/10; got: ${err:0:200}"
 fi
 
+# Help, usage errors and write failures run the code a plain query never loads.
+out="$(env -u FAREY_CAP farey --help 2>/dev/null)"
+if [[ $? == 0 && "${out%%$'\n'*}" == "usage: farey [-h] [--json] [--cap TERMS] command ..." ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: --help prints the usage line; got: ${out:0:200}"
+fi
+
+err="$(env -u FAREY_CAP farey triple 5 2>&1 >/dev/null)"
+if [[ $? == 1 && "$err" == "usage error: the following arguments are required: order" ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: a missing argument is a usage error; got: ${err:0:200}"
+fi
+
+err="$(env -u FAREY_CAP farey triple 5 39 2>&1 >/dev/full)"
+if [[ $? == 1 && "$err" == "error: cannot write output: "* && "$err" != *$'\n'* ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: a full stdout gets one error line; got: ${err:0:200}"
+fi
+
 echo "e2e: $pass passed, $fail failed"
 [[ "$fail" == 0 ]]

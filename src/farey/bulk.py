@@ -202,6 +202,7 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
             queries.append(n)
     row: dict = {"order": order}
     for method in cli._CONSTRUCTIONS:
+        by_method(queries[0], order, method, None)  # untimed: loads the route's module
         row[method] = _timing_summary(
             [_time_ns(lambda n=n: by_method(n, order, method, None), _BATCH) for n in queries]
         )

@@ -13,7 +13,7 @@ accepts non-canonical input.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .fraction import Fraction
 from .record import Record, _new, _set
 from .triples import FareyTriple, ReductionChain, _chain_of, _checked, _euclid
@@ -32,10 +32,10 @@ class ContinuedFraction(Record):
         if not coeffs:
             raise DomainError("a continued fraction needs at least one coefficient")
         if coeffs[0] < 0:
-            raise DomainError(f"leading coefficient must be >= 0, got {coeffs[0]}")
+            raise DomainError(f"leading coefficient must be >= 0, got {_shown(coeffs[0])}")
         for i, c in enumerate(coeffs[1:], start=1):
             if c < 1:
-                raise DomainError(f"coefficient {c} at position {i} must be >= 1")
+                raise DomainError(f"coefficient {_shown(c)} at position {i} must be >= 1")
         _set(self, "coeffs", coeffs)
 
     @property

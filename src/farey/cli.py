@@ -8,7 +8,8 @@ Exit codes are a stable contract for scripts: 0 success, 1 usage or domain
 error (or results that cannot be written), 2 enumeration cap exceeded,
 3 verification mismatch, 130 interrupted (SIGINT).  Results go to stdout,
 diagnostics to stderr; a reader that closes the pipe early ends the command
-quietly with 1.
+quietly with 1.  Help, usage errors and diagnostics load on demand from
+`farey.usage`, which a query that parses and succeeds never loads.
 
 With --json every command emits one canonical document: sorted keys, compact
 separators, and no floats anywhere (timings are integer nanoseconds, means
@@ -44,7 +45,8 @@ MAX_CAP = 10 * DEFAULT_CAP
 MAX_REPS = 10**6
 
 # Names served from modules that only some commands need, each with its
-# module; farey.bulk holds the list, verify and bench commands.  A name loads
+# module; farey.bulk holds the list, verify and bench commands, farey.usage
+# the help, usage errors and diagnostics, loaded on demand.  A name loads
 # on its first lookup as an attribute of this module (see __getattr__) and
 # then stays a plain global, so patching farey.cli.<name> reaches every
 # command that calls it.
@@ -59,6 +61,9 @@ _LAZY = {
     "cmd_verify": "bulk",
     "cmd_bench": "bulk",
     "_bench_order": "bulk",
+    "build_parser": "usage",
+    "_report": "usage",
+    "_detach_stdout": "usage",
 }
 
 
@@ -317,7 +322,7 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
             if word[:1] == "-":
                 name, settings = word[2:].replace("-", "_"), table[word]
                 word = "" if "action" in settings else next(words)  # store_true: no value
-                if word[:1] == "-":  # argparse may read it as a flag
+                if word[:1] == "-":  # build_parser() may read it as a flag
                     return None
             elif positionals is None:
                 args["command"], table = word, {**_COMMANDS[word][1], **_SHARED}
@@ -340,81 +345,15 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def build_parser():
-    """The argparse parser of the tables above."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        # argparse exits with status 2 on bad usage; 2 is reserved for the
-        # enumeration cap here, so route usage problems through an exception.
-        def error(self, message):
-            raise UsageError(message)
-
-        # argparse ignores a failed write, so --help would exit 0 having
-        # written nothing; its text is output like any result.
-        def _print_message(self, message, file=None):
-            if message:
-                try:
-                    (file or sys.stderr).write(message)
-                except OSError as exc:
-                    raise OutputError(exc) from exc
-
-    def token(parse):
-        # An argparse type whose DomainError is the usage error argparse reports.
-        def convert(text: str):
-            try:
-                return parse(text)
-            except DomainError as exc:
-                raise argparse.ArgumentTypeError(str(exc)) from None
-
-        return convert
-
-    def add(parser, arguments, **overrides):
-        for name, settings in arguments.items():
-            wrapped = {"type": token(settings["type"])} if "type" in settings else {}
-            parser.add_argument(name, **{**settings, **wrapped, **overrides})
-
-    parser = _Parser(
-        prog="farey",
-        description="Exact Farey sequence queries: triples, neighbors,"
-        " continued fractions, verification, benchmarks.",
-    )
-    add(parser, _SHARED)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_line, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        add(p, arguments)
-        # Subparsers copy their namespace over the root one: SUPPRESS keeps
-        # an unset shared flag from erasing a value given before the command.
-        add(p, _SHARED, default=argparse.SUPPRESS)
-    return parser
-
-
-def _report(kind: str, message) -> None:
-    """Write ``kind: message`` to stderr, each word-initial repr (quotes kept)
-    or whitespace-free run of over 40 characters cut to its first and last 16,
-    then a message still over 200 characters cut to its first 100 and last 60."""
-    import re
-
-    def cut(match):
-        quote, run = match[1] or "", match[2] or match[0]
-        return match[0] if len(run) <= 40 else f"{quote}{run[:16]}...{run[-16:]}{quote}"
-
-    text = re.sub(r"""(?<!\S)(['"])((?:\\.|(?!\1)[^\\])*)\1|\S{41,}""", cut, str(message))
-    if len(text) > 200:
-        text = f"{text[:100]}...{text[-60:]}"
-    print(f"{kind}: {text}", file=sys.stderr)
-
-
 def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _plain(argv) or build_parser().parse_args(argv)
+        args = _plain(argv) or _cli.build_parser().parse_args(argv)
     except UsageError as exc:
-        _report("usage error", exc)
+        _cli._report("usage error", exc)
         return EXIT_USAGE
     except SystemExit as exc:
-        # --help has printed its text and asked argparse to exit 0.
+        # --help has printed its text and asked to exit 0.
         return exc.code
     # With fd 1 closed, sys.stdout is None and print() drops every result.
     if sys.stdout is None:
@@ -422,21 +361,8 @@ def _run(argv: list[str] | None) -> int:
     try:
         return getattr(_cli, f"cmd_{args.command}")(args)
     except (DomainError, CapExceededError) as exc:
-        _report("error", exc)
+        _cli._report("error", exc)
         return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_USAGE
-
-
-def _detach_stdout() -> None:
-    """Point stdout's file descriptor at the null device, so the flush at
-    interpreter exit has nothing left to fail on (the "Note on SIGPIPE" in
-    the signal module's documentation)."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):
-        return  # no stdout, or one that is not a file
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -448,9 +374,9 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise OutputError(exc) from exc
     except OutputError as exc:
-        _detach_stdout()
+        _cli._detach_stdout()
         if not isinstance(exc.__cause__, BrokenPipeError):
-            _report("error", f"cannot write output: {exc}")
+            _cli._report("error", f"cannot write output: {exc}")
         return EXIT_USAGE
     except KeyboardInterrupt:
         # A --jobs pool has been shut down on the way out of cmd_verify.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .record import _new
 
 
@@ -26,11 +26,11 @@ class Fraction:
 
     def __init__(self, num: int, den: int):
         if den < 1:
-            raise DomainError(f"denominator must be >= 1, got {den}")
+            raise DomainError(f"denominator must be >= 1, got {_shown(den)}")
         if num < 0:
-            raise DomainError(f"numerator must be >= 0, got {num}")
+            raise DomainError(f"numerator must be >= 0, got {_shown(num)}")
         if num > den:
-            raise DomainError(f"{num}/{den} lies outside [0, 1]")
+            raise DomainError(f"{_shown(num)}/{_shown(den)} lies outside [0, 1]")
         g = gcd(num, den)
         self.num = num // g
         self.den = den // g

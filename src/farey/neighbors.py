@@ -26,7 +26,7 @@ constructor has no side field and accepts either.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .fraction import Fraction, _coprime
 from .record import Record, _new, _setters
 from .triples import _base_successor
@@ -56,9 +56,9 @@ def _checked(self, query: Fraction, order: int, neighbor: Fraction, steps: int, 
     ``side`` is the cross determinant det(query, neighbor) required: 1 for
     a successor, -1 for a predecessor, 0 for either."""
     if order < query.den:
-        raise DomainError(f"{query} is not a member of the sequence of order {order}")
+        raise DomainError(f"{query} is not a member of the sequence of order {_shown(order)}")
     if steps < 0:
-        raise DomainError(f"step count must be >= 0, got {steps}")
+        raise DomainError(f"step count must be >= 0, got {_shown(steps)}")
     det = neighbor.num * query.den - query.num * neighbor.den
     if det != 1 and det != -1:
         raise DomainError(f"{query} and {neighbor} are not unimodular")

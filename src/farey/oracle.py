@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import DEFAULT_CAP, CapExceededError, DomainError
+from .errors import DEFAULT_CAP, CapExceededError, DomainError, _shown
 from .fraction import Fraction, cross_det
 from .record import Record, _set
 from .triples import FareyTriple, _check_range, _reducible
@@ -42,7 +42,7 @@ def iterate_farey(order: int) -> Iterator[Fraction]:
     """Yield the terms of F_order in increasing order, one at a time; the
     order is checked at the call."""
     if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+        raise DomainError(f"order must be >= 1, got {_shown(order)}")
     return _recurrence(order)
 
 
@@ -84,7 +84,8 @@ def _farey_walk(order: int, cap: int | None) -> Iterator[Fraction]:
     if cap is not None:
         if order + 1 > cap:
             raise CapExceededError(
-                f"F_{order} has at least {order + 1} terms, above the cap of {cap}"
+                f"F_{_shown(order)} has at least {_shown(order + 1)} terms,"
+                f" above the cap of {_shown(cap)}"
             )
         if 1 + order * (order + 1) // 2 > cap and _farey_length(order) > cap:
             raise CapExceededError(f"F_{order} exceeds the cap of {cap} terms")

@@ -64,7 +64,7 @@ def _checked(self, left: Fraction, center: Fraction, right: Fraction, order: int
     """Check a triple, store it in the bare record ``self`` and return it;
     the queries call it on ``object.__new__(FareyTriple)``, skipping the type call."""
     if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+        raise DomainError(f"order must be >= 1, got {_shown(order)}")
     if center.den != order or center.num < 1:
         raise DomainError(f"center {center} is not of the form n/{order} with n >= 1")
     if center.num * left.den - left.num * order != 1:
@@ -92,7 +92,7 @@ class ReductionChain(Record):
     def __init__(self, quotients: tuple[int, ...], terminal: int, start: Fraction):
         quotients = tuple(quotients)
         if terminal < 2:
-            raise DomainError(f"terminal order must be >= 2, got {terminal}")
+            raise DomainError(f"terminal order must be >= 2, got {_shown(terminal)}")
         if any(q < 1 for q in quotients):
             raise DomainError("quotients must be positive")
         if (len(quotients) == 0) != (start.num == 1):
@@ -113,7 +113,7 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
     of consecutive terms again.
     """
     if quotient < 1:
-        raise DomainError(f"quotient must be >= 1, got {quotient}")
+        raise DomainError(f"quotient must be >= 1, got {_shown(quotient)}")
 
     def send(f: Fraction) -> Fraction:
         # gcd(b, q*b + a) = gcd(b, a) = 1, so the image is already reduced

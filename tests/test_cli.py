@@ -433,6 +433,31 @@ class TestBench:
         assert code == 0
         assert methods == {"inverse", "chain", "cf", "oracle"}
 
+    def test_each_route_is_loaded_before_its_first_sample(self):
+        # cli.triple_via_cf imports farey.cf on its first lookup, which must
+        # not land in a timed sample; a fresh interpreter has not loaded it.
+        probe = (
+            "import sys\n"
+            "from farey import bulk\n"
+            "seen, real = [], bulk._time_ns\n"
+            "def spy(fn, calls=1):\n"
+            "    seen.append('farey.cf' in sys.modules)\n"
+            "    return real(fn, calls)\n"
+            "bulk._time_ns = spy\n"
+            "bulk._bench_order(39, 2, 10**7)\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # Two samples per route, in the order inverse, chain, cf, oracle.
+        assert proc.stdout == "[False, False, False, False, True, True, True, True]\n"
+
     @pytest.mark.parametrize(
         "times, median", [([5, 1, 4, 2], 2), ([3, 9, 1], 3), ([7], 7), ([2, 2, 8, 1, 9, 4], 2)]
     )
@@ -1199,7 +1224,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 33 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 36 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
@@ -1238,6 +1263,7 @@ _ON_DEMAND = (
     "farey.oracle",
     "farey.neighbors",
     "farey.bulk",
+    "farey.usage",
     "concurrent.futures",
     "json",
     "argparse",
@@ -1285,7 +1311,31 @@ class TestImportsOnDemand:
         assert proc.returncode == 1
         message, _, modules = proc.stderr.partition("\n")
         assert message == "usage error: the following arguments are required: order"
-        assert "argparse" in modules.split()
+        assert {"farey.usage", "argparse"} <= set(modules.split())
+
+    def test_help_loads_argparse(self):
+        proc = _probe_modules(["--help"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: farey [-h] [--json] [--cap TERMS] command ...\n")
+        assert {"farey.usage", "argparse"} <= set(proc.stderr.split())
+
+    def test_a_domain_error_reports_without_argparse(self):
+        proc = _probe_modules(["triple", "6", "10"])
+        assert proc.returncode == 1
+        message, _, modules = proc.stderr.partition("\n")
+        assert message == "error: 6/10 not irreducible"
+        assert "farey.usage" in modules.split()
+        assert "argparse" not in modules.split()
+
+    def test_a_report_patched_on_cli_receives_the_error(self, monkeypatch):
+        lines = []
+
+        def spy(kind, message):
+            lines.append((kind, str(message)))
+
+        monkeypatch.setattr(cli, "_report", spy)
+        assert main(["triple", "6", "10"]) == 1
+        assert lines == [("error", "6/10 not irreducible")]
 
     def test_bare_package_import_loads_no_submodule(self):
         probe = "import sys, farey; print(sorted(m for m in sys.modules if m.startswith('farey.')))"

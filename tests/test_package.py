@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 import farey
+from farey import CapExceededError, DomainError, Fraction
 
 
 def test_every_public_name_is_the_object_its_submodule_defines():
@@ -43,3 +44,51 @@ def test_default_cap_is_the_oracles():
     import farey.oracle
 
     assert farey.DEFAULT_CAP is farey.oracle.DEFAULT_CAP == 10_000_000
+
+
+_HUGE = 10**5000  # past the interpreter's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(call, error, id=name)
+        for name, call, error in (
+            ("Fraction", lambda: Fraction(-_HUGE, 3), DomainError),
+            ("right_neighbor", lambda: farey.right_neighbor(Fraction(1, 3), -_HUGE), DomainError),
+            ("left_neighbor", lambda: farey.left_neighbor(Fraction(1, 3), -_HUGE), DomainError),
+            (
+                "NeighborResult",
+                lambda: farey.NeighborResult(
+                    Fraction(1, 3), 3, Fraction(1, 2), -_HUGE, Fraction(1, 2)
+                ),
+                DomainError,
+            ),
+            ("iterate_farey", lambda: farey.iterate_farey(-_HUGE), DomainError),
+            ("enumerate_farey", lambda: farey.enumerate_farey(_HUGE), CapExceededError),
+            ("triple_by_scan", lambda: farey.triple_by_scan(1, _HUGE), CapExceededError),
+            ("lift_step", lambda: farey.lift_step(farey.triple(1, 3), -_HUGE), DomainError),
+            (
+                "ReductionChain",
+                lambda: farey.ReductionChain((1,), -_HUGE, Fraction(2, 3)),
+                DomainError,
+            ),
+            (
+                "FareyTriple",
+                lambda: farey.FareyTriple(
+                    Fraction(0, 1), Fraction(1, 2), Fraction(1, 1), -_HUGE
+                ),
+                DomainError,
+            ),
+            ("ContinuedFraction[0]", lambda: farey.ContinuedFraction((-_HUGE,)), DomainError),
+            ("ContinuedFraction[1]", lambda: farey.ContinuedFraction((0, -_HUGE)), DomainError),
+        )
+    ],
+)
+def test_an_int_past_the_digit_limit_gets_a_short_package_error(call, error):
+    # str() refuses such an int; the message shows its sign and bit length.
+    # An order past any cap is refused by the cap, the rest as bad input.
+    with pytest.raises(error) as err:
+        call()
+    assert "int of 1661" in str(err.value)
+    assert len(str(err.value)) < 200
