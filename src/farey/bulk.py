@@ -18,6 +18,7 @@ from time import perf_counter_ns
 
 from . import cli
 from .errors import DomainError
+from .fraction import Fraction
 from .oracle import PropertyReport, _certified, _farey_length
 from .triples import _euclid
 
@@ -62,28 +63,35 @@ def _verify_order(order: int, cap: int) -> tuple[int, str | None]:
     Returns (centered triples checked, failure message or None).
     """
     right_neighbor, left_neighbor = cli.right_neighbor, cli.left_neighbor
+    by_method, methods = cli._triple_by_method, cli._CONSTRUCTIONS
     report = PropertyReport(ok=True)
     centers = 0
-    left = None
-    for lo, hi in _certified(order, cli._farey_walk(order, cap), report):
+    terms = _certified(order, cli._farey_walk(order, cap), report)
+    left, lo = None, next(terms, None)
+    # Answers match enumeration field by field; a non-Fraction never matches.
+    for hi in terms:
         got = right_neighbor(lo, order).neighbor
-        if got != hi:
+        if not isinstance(got, Fraction) or got.num != hi.num or got.den != hi.den:
             return centers, _failure(order, f"successor of {lo}", f"next {lo} {order}", got, hi)
         got = left_neighbor(hi, order).neighbor
-        if got != lo:
+        if not isinstance(got, Fraction) or got.num != lo.num or got.den != lo.den:
             return centers, _failure(order, f"predecessor of {hi}", f"prev {hi} {order}", got, lo)
         # order >= 2, so a term with denominator order is interior.
         if lo.den == order:
             centers += 1
-            expected = (left, lo, hi)
-            for method in cli._CONSTRUCTIONS:
-                got = cli._triple_by_method(lo.num, order, method, None)
-                if (got.left, got.center, got.right) != expected:
+            want = (left.num, left.den, lo.num, order, hi.num, hi.den)
+            for method in methods:
+                got = by_method(lo.num, order, method, None)
+                a, b, c = got.left, got.center, got.right
+                if not (
+                    isinstance(a, Fraction) and isinstance(b, Fraction) and isinstance(c, Fraction)
+                    and (a.num, a.den, b.num, b.den, c.num, c.den) == want
+                ):
                     what = f"{method} triple at {lo}"
                     reproduce = f"triple {lo.num} {order} --method {method}"
-                    terms = f"{got.left} {got.center} {got.right}"
-                    return centers, _failure(order, what, reproduce, terms, f"{left} {lo} {hi}")
-        left = lo
+                    got = f"{a} {b} {c}"
+                    return centers, _failure(order, what, reproduce, got, f"{left} {lo} {hi}")
+        left, lo = lo, hi
     if report.ok:
         return centers, None
     return centers, _failure(order, f"{report.failure} at index {report.index}", f"list {order}")

@@ -21,3 +21,8 @@ def _shown(k: int) -> str:
         return str(k)
     except ValueError:
         return f"{'a negative' if k < 0 else 'an'} int of {k.bit_length()} bits"
+
+
+def _frac(f) -> str:
+    """str(f) for a Fraction f, with each part rendered by _shown."""
+    return f"{_shown(f.num)}/{_shown(f.den)}"

@@ -26,7 +26,7 @@ constructor has no side field and accepts either.
 
 from __future__ import annotations
 
-from .errors import DomainError, _shown
+from .errors import DomainError, _frac, _shown
 from .fraction import Fraction, _coprime
 from .record import Record, _new, _setters
 from .triples import _base_successor
@@ -56,21 +56,22 @@ def _checked(self, query: Fraction, order: int, neighbor: Fraction, steps: int, 
     ``side`` is the cross determinant det(query, neighbor) required: 1 for
     a successor, -1 for a predecessor, 0 for either."""
     if order < query.den:
-        raise DomainError(f"{query} is not a member of the sequence of order {_shown(order)}")
+        member = f"a member of the sequence of order {_shown(order)}"
+        raise DomainError(f"{_frac(query)} is not {member}")
     if steps < 0:
         raise DomainError(f"step count must be >= 0, got {_shown(steps)}")
     det = neighbor.num * query.den - query.num * neighbor.den
     if det != 1 and det != -1:
-        raise DomainError(f"{query} and {neighbor} are not unimodular")
+        raise DomainError(f"{_frac(query)} and {_frac(neighbor)} are not unimodular")
     if side and det != side:
         which = "successor" if side == 1 else "predecessor"
-        raise DomainError(f"{neighbor} is not the {which} of {query}")
+        raise DomainError(f"{_frac(neighbor)} is not the {which} of {_frac(query)}")
     if neighbor.den > order:
-        raise DomainError(f"{neighbor} lies outside a sequence of order {order}")
+        raise DomainError(f"{_frac(neighbor)} lies outside a sequence of order {_shown(order)}")
     if query.den + neighbor.den <= order:
         raise DomainError(
-            f"{query} and {neighbor} are not adjacent at order "
-            f"{order}: a mediant still fits between them"
+            f"{_frac(query)} and {_frac(neighbor)} are not adjacent at order "
+            f"{_shown(order)}: a mediant still fits between them"
         )
     _put_query(self, query)
     _put_order(self, order)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import DEFAULT_CAP, CapExceededError, DomainError, _shown
-from .fraction import Fraction, cross_det
+from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _shown
+from .fraction import Fraction
 from .record import Record, _set
 from .triples import FareyTriple, _check_range, _reducible
 
@@ -47,12 +47,13 @@ def iterate_farey(order: int) -> Iterator[Fraction]:
 
 
 def _recurrence(order: int) -> Iterator[Fraction]:
+    make = Fraction._from_coprime
     a, b, c, d = 0, 1, 1, order
-    yield Fraction._from_coprime(0, 1)
+    yield make(0, 1)
     while c <= order:
         k = (order + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-        yield Fraction._from_coprime(a, b)
+        yield make(a, b)
 
 
 def _farey_length(order: int) -> int:
@@ -154,9 +155,9 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
 
 
 def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) -> Iterator:
-    """Yield each adjacent pair of ``terms`` once it passes the checks of
-    verify_properties.  The first failure ends the walk and is written into
-    ``report``; a clean walk writes the counts there instead."""
+    """Yield the first of ``terms`` once it is 0/1, then each next one once
+    its pair passes the checks of verify_properties.  The first failure ends
+    the walk in ``report``; a clean walk writes the counts there instead."""
 
     def fail(message: str, index: int) -> None:
         report.ok, report.failure, report.index = False, message, index
@@ -165,18 +166,22 @@ def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) ->
     x = next(terms, None)
     if x != Fraction(0, 1):
         return fail("first term must be 0/1", 0)
+    yield x
     i = centers = 0
     for y in terms:
-        d = cross_det(x, y)
+        d = y.num * x.den - x.num * y.den
         if d != 1:
-            return fail(f"adjacent pair {x}, {y} has determinant {d}, expected 1", i)
+            pair = f"{_frac(x)}, {_frac(y)}"
+            return fail(f"adjacent pair {pair} has determinant {_shown(d)}, expected 1", i)
         if x.den > order or y.den > order:
-            return fail(f"denominator above order {order} in pair {x}, {y}", i)
+            pair = f"{_frac(x)}, {_frac(y)}"
+            return fail(f"denominator above order {_shown(order)} in pair {pair}", i)
         if x.den + y.den <= order:
-            return fail(f"adjacent denominators of {x}, {y} sum to <= {order}", i)
+            pair = f"{_frac(x)}, {_frac(y)}"
+            return fail(f"adjacent denominators of {pair} sum to <= {_shown(order)}", i)
         if i and x.den == order:
             centers += 1
-        yield x, y
+        yield y
         x = y
         i += 1
     if x != Fraction(1, 1):

@@ -35,7 +35,7 @@ nothing is lost by skipping the intermediate triples.  ``lift_step`` and
 
 from __future__ import annotations
 
-from .errors import DomainError, _shown
+from .errors import DomainError, _frac, _shown
 from .fraction import Fraction, _coprime
 from .record import Record, _new, _set, _setters
 
@@ -66,11 +66,12 @@ def _checked(self, left: Fraction, center: Fraction, right: Fraction, order: int
     if order < 1:
         raise DomainError(f"order must be >= 1, got {_shown(order)}")
     if center.den != order or center.num < 1:
-        raise DomainError(f"center {center} is not of the form n/{order} with n >= 1")
+        form = f"of the form n/{_shown(order)} with n >= 1"
+        raise DomainError(f"center {_frac(center)} is not {form}")
     if center.num * left.den - left.num * order != 1:
-        raise DomainError(f"left pair {left}, {center} is not unimodular")
+        raise DomainError(f"left pair {_frac(left)}, {_frac(center)} is not unimodular")
     if right.num * order - center.num * right.den != 1:
-        raise DomainError(f"right pair {center}, {right} is not unimodular")
+        raise DomainError(f"right pair {_frac(center)}, {_frac(right)} is not unimodular")
     if left.den >= order or right.den >= order:
         raise DomainError("outer denominators must be smaller than the order")
     _put_left(self, left)
@@ -151,7 +152,7 @@ def _euclid(n: int, order: int) -> tuple[list[int], int]:
 def _chain_of(center: Fraction) -> tuple[list[int], int]:
     """_euclid on a center, which must lie strictly between 0 and 1."""
     if center.num == 0 or center.num == center.den:
-        raise DomainError(f"center must satisfy 0 < {center} < 1")
+        raise DomainError(f"center must satisfy 0 < {_frac(center)} < 1")
     return _euclid(center.num, center.den)
 
 

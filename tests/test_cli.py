@@ -20,11 +20,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +404,88 @@ class TestVerify:
         assert (code, out) == (3, f"FAIL: {failure}\n")
         code, out, _ = run_cli(capsys, "--json", "verify", "8")
         assert (code, out) == (3, self._failure_json(failure, 4, 6))
+
+
+    def test_every_pair_and_center_is_queried(self, capsys, monkeypatch):
+        # One successor and one predecessor query per adjacent pair, each on a
+        # Fraction, and one call per construction per center: however verify
+        # compares the answers, it cannot skip a query.
+        queried, built = Counter(), Counter()
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def counted(x, order):
+                assert type(x) is Fraction
+                queried[name] += 1
+                return real(x, order)
+
+            return counted
+
+        real_by_method = cli._triple_by_method
+
+        def by_method(n, order, method, cap):
+            built[n, order, method] += 1
+            return real_by_method(n, order, method, cap)
+
+        for name in ("right_neighbor", "left_neighbor"):
+            monkeypatch.setattr(cli, name, spy(name))
+        monkeypatch.setattr(cli, "_triple_by_method", by_method)
+        code, out, _ = run_cli(capsys, "verify", "12")
+        assert (code, out) == (0, f"OK: 11 orders, {totient_sum(2, 12):,} triples, 0 mismatches\n")
+        pairs = sum(totient_sum(1, n) for n in range(2, 13))  # |F_n| - 1 = Phi(n)
+        assert queried == {"right_neighbor": pairs, "left_neighbor": pairs}
+        assert sum(built.values()) == 3 * totient_sum(2, 12)
+        assert built == {
+            (n, order, method): 1
+            for order in range(2, 13)
+            for n in range(1, order)
+            if gcd(n, order) == 1
+            for method in ("inverse", "chain", "cf")
+        }
+
+    @pytest.mark.parametrize(
+        "name, answer, failure",
+        [
+            pytest.param(
+                "right_neighbor", None, "successor of 0/1 (reproduce: farey next 0/1 2)", id="next"
+            ),
+            pytest.param(
+                "left_neighbor", None, "predecessor of 1/2 (reproduce: farey prev 1/2 2)", id="prev"
+            ),
+            pytest.param(
+                "right_neighbor",
+                SimpleNamespace(num=1, den=2),
+                "successor of 0/1 came out namespace(num=1, den=2), enumeration says 1/2"
+                " (reproduce: farey next 0/1 2)",
+                id="next-lookalike",
+            ),
+        ],
+    )
+    def test_an_answer_that_is_not_a_fraction_is_a_mismatch(
+        self, capsys, monkeypatch, name, answer, failure
+    ):
+        monkeypatch.setattr(cli, name, lambda x, order: SimpleNamespace(neighbor=answer))
+        code, out, err = run_cli(capsys, "verify", "8")
+        assert (code, out, err) == (3, f"FAIL: order 2: {failure}\n", "")
+
+    def test_a_triple_with_a_term_that_is_not_a_fraction_is_a_mismatch(self, capsys, monkeypatch):
+        real = cli._triple_by_method
+
+        def by_method(n, order, method, cap):
+            got = real(n, order, method, cap)
+            if method != "chain":
+                return got
+            right = SimpleNamespace(num=got.right.num, den=got.right.den)
+            return SimpleNamespace(left=got.left, center=got.center, right=right)
+
+        monkeypatch.setattr(cli, "_triple_by_method", by_method)
+        failure = (
+            "order 2: chain triple at 1/2 came out 0/1 1/2 namespace(num=1, den=1),"
+            " enumeration says 0/1 1/2 1/1 (reproduce: farey triple 1 2 --method chain)"
+        )
+        code, out, err = run_cli(capsys, "verify", "8")
+        assert (code, out, err) == (3, f"FAIL: {failure}\n", "")
 
 
 class TestBench:

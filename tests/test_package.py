@@ -80,6 +80,28 @@ _HUGE = 10**5000  # past the interpreter's 4300-digit int-to-str limit
                 ),
                 DomainError,
             ),
+            (
+                "FareyTriple[order]",
+                lambda: farey.FareyTriple(Fraction(0, 1), Fraction(1, 3), Fraction(1, 2), _HUGE),
+                DomainError,
+            ),
+            (
+                "FareyTriple[left]",
+                lambda: farey.FareyTriple(Fraction(1, _HUGE), Fraction(1, 2), Fraction(1, 1), 2),
+                DomainError,
+            ),
+            (
+                "NeighborResult[neighbor]",
+                lambda: farey.NeighborResult(
+                    Fraction(1, 3), 3, Fraction(1, _HUGE), 0, Fraction(1, 2)
+                ),
+                DomainError,
+            ),
+            (
+                "right_neighbor[query]",
+                lambda: farey.right_neighbor(Fraction(1, _HUGE), 3),
+                DomainError,
+            ),
             ("ContinuedFraction[0]", lambda: farey.ContinuedFraction((-_HUGE,)), DomainError),
             ("ContinuedFraction[1]", lambda: farey.ContinuedFraction((0, -_HUGE)), DomainError),
         )
@@ -92,3 +114,11 @@ def test_an_int_past_the_digit_limit_gets_a_short_package_error(call, error):
         call()
     assert "int of 1661" in str(err.value)
     assert len(str(err.value)) < 200
+
+
+def test_a_term_past_the_digit_limit_gets_a_short_property_report():
+    # verify_properties reports a failed check instead of raising.
+    terms = (Fraction(0, 1), Fraction(1, _HUGE), Fraction(1, 1))
+    report = farey.verify_properties(farey.FareySequence(5, terms))
+    assert (report.ok, report.index) == (False, 0)
+    assert report.failure == "denominator above order 5 in pair 0/1, 1/an int of 16610 bits"
