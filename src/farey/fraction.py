@@ -71,11 +71,6 @@ class Fraction:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __ne__(self, other):
-        if not isinstance(other, Fraction):
-            return NotImplemented
-        return self.num != other.num or self.den != other.den
-
     def __lt__(self, other):
         return self.num * other.den < other.num * self.den
 
