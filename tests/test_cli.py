@@ -405,7 +405,6 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "--json", "verify", "8")
         assert (code, out) == (3, self._failure_json(failure, 4, 6))
 
-
     def test_every_pair_and_center_is_queried(self, capsys, monkeypatch):
         # One successor and one predecessor query per adjacent pair, each on a
         # Fraction, and one call per construction per center: however verify
