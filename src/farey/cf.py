@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import DomainError, _shown
 from .fraction import Fraction
-from .record import Record, _new, _set
+from .record import Record, _new
 from .triples import FareyTriple, ReductionChain, _chain_of, _checked, _euclid
 
 
@@ -27,7 +27,7 @@ class ContinuedFraction(Record):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]):
+    def __new__(cls, coeffs: tuple[int, ...]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise DomainError("a continued fraction needs at least one coefficient")
@@ -36,7 +36,10 @@ class ContinuedFraction(Record):
         for i, c in enumerate(coeffs[1:], start=1):
             if c < 1:
                 raise DomainError(f"coefficient {_shown(c)} at position {i} must be >= 1")
-        _set(self, "coeffs", coeffs)
+        self = _new(cls._draft)
+        self.coeffs = coeffs
+        self.__class__ = cls
+        return self
 
     @property
     def canonical(self) -> bool:
@@ -126,4 +129,4 @@ def triple_via_cf(center: Fraction) -> FareyTriple:
         left, right = truncated, lowered
     else:
         left, right = lowered, truncated
-    return _checked(_new(FareyTriple), left, center, right, center.den)
+    return _checked(FareyTriple, left, center, right, center.den)

@@ -17,18 +17,18 @@ continued-fraction triples give the same base neighbor as their right
 term; ``farey verify`` checks all three constructions against
 enumeration.
 
-Both queries build their one ``NeighborResult`` through ``_checked``,
-the check the public constructor runs, which also holds each answer to its
-side: cross determinant +1 with the query for a successor, -1 for a
-predecessor, so an inverse of the wrong sign is refused there.  The public
-constructor has no side field and accepts either.
+Both queries build their one ``NeighborResult`` through ``_checked``, the
+check the public constructor runs, which fills the record's draft with
+plain stores and also holds each answer to its side: cross determinant +1
+with the query for a successor, -1 for a predecessor, so an inverse of the
+wrong sign is refused there.  The public constructor accepts either side.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, _frac, _shown
 from .fraction import Fraction, _coprime
-from .record import Record, _new, _setters
+from .record import Record, _new
 from .triples import _base_successor
 
 
@@ -42,19 +42,13 @@ class NeighborResult(Record):
 
     __slots__ = ("query", "order", "neighbor", "steps", "base")
 
-    def __init__(
-        self, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction
-    ):
-        _checked(self, query, order, neighbor, steps, base, 0)
+    def __new__(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction):
+        return _checked(cls, query, order, neighbor, steps, base, 0)
 
 
-_put_query, _put_order, _put_neighbor, _put_steps, _put_base = _setters(NeighborResult)
-
-
-def _checked(self, query: Fraction, order: int, neighbor: Fraction, steps: int, base, side: int):
-    """Check an answer, store it in the bare record ``self`` and return it.
-    ``side`` is the cross determinant det(query, neighbor) required: 1 for
-    a successor, -1 for a predecessor, 0 for either."""
+def _checked(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base, side: int):
+    """Check an answer and return it as a ``cls`` record filled through its draft.
+    ``side`` is the det(query, neighbor) required: 1 (successor), -1 or 0 (either)."""
     if order < query.den:
         member = f"a member of the sequence of order {_shown(order)}"
         raise DomainError(f"{_frac(query)} is not {member}")
@@ -73,11 +67,13 @@ def _checked(self, query: Fraction, order: int, neighbor: Fraction, steps: int, 
             f"{_frac(query)} and {_frac(neighbor)} are not adjacent at order "
             f"{_shown(order)}: a mediant still fits between them"
         )
-    _put_query(self, query)
-    _put_order(self, order)
-    _put_neighbor(self, neighbor)
-    _put_steps(self, steps)
-    _put_base(self, base)
+    self = _new(cls._draft)
+    self.query = query
+    self.order = order
+    self.neighbor = neighbor
+    self.steps = steps
+    self.base = base
+    self.__class__ = cls
     return self
 
 
@@ -102,7 +98,7 @@ def right_neighbor(x: Fraction, order: int) -> NeighborResult:
     c, d = _base_successor(a, b)
     steps = (order - d) // b
     neighbor = _coprime(steps * a + c, steps * b + d)
-    return _checked(_new(NeighborResult), x, order, neighbor, steps, _coprime(c, d), 1)
+    return _checked(NeighborResult, x, order, neighbor, steps, _coprime(c, d), 1)
 
 
 def left_neighbor(x: Fraction, order: int) -> NeighborResult:
@@ -117,4 +113,4 @@ def left_neighbor(x: Fraction, order: int) -> NeighborResult:
     c, d = _base_successor(b - a, b)
     steps = (order - d) // b
     neighbor = _coprime(steps * a + d - c, steps * b + d)
-    return _checked(_new(NeighborResult), x, order, neighbor, steps, _coprime(d - c, d), -1)
+    return _checked(NeighborResult, x, order, neighbor, steps, _coprime(d - c, d), -1)

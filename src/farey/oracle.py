@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _shown
 from .fraction import Fraction
-from .record import Record, _set
+from .record import Record, _new
 from .triples import FareyTriple, _check_range, _reducible
 
 
@@ -24,9 +24,11 @@ class FareySequence(Record):
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, order: int, terms: tuple[Fraction, ...]):
-        _set(self, "order", order)
-        _set(self, "terms", tuple(terms))
+    def __new__(cls, order: int, terms: tuple[Fraction, ...]):
+        self = _new(cls._draft)
+        self.order, self.terms = order, tuple(terms)
+        self.__class__ = cls
+        return self
 
     def __len__(self):
         return len(self.terms)
@@ -149,8 +151,14 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
     rise from 0/1.
     """
     report = PropertyReport(ok=True)
-    for _ in _certified(seq.order, seq.terms, report):
-        pass
+    walk = _certified(seq.order, seq.terms, report)
+    try:
+        for _ in walk:
+            pass
+    except AttributeError:  # a term without num and den; the walk checks no types
+        i, x = next((i, x) for i, x in enumerate(seq.terms) if not isinstance(x, Fraction))
+        kind = f"{type(x).__module__}.{type(x).__qualname__}, not a farey.Fraction"
+        report.ok, report.failure, report.index = False, f"term {i} is a {kind}", i
     return report
 
 

@@ -9,28 +9,29 @@ value equality and hashing that only match the same class, a
 ``Name(field=value, ...)`` repr, and pickling and copying through the
 validating constructor.
 
-Each subclass's ``__init__`` runs its checks on the arguments and then
-stores every field with ``_set`` or a ``_setters`` setter; after that,
-assigning or deleting an attribute raises AttributeError.
+Assigning or deleting a record's attribute raises AttributeError, so each
+record class gets a ``_draft`` twin with the same bases and ``__slots__`` but
+``object``'s own ``__setattr__`` and ``__delattr__``, where a field store is
+one plain slot write.  A constructor runs its checks, fills a bare draft,
+then sets its ``__class__`` to the record class, which CPython allows
+because the two layouts are identical.
 """
 
-_set = object.__setattr__
 _new = object.__new__
-
-
-def _setters(cls) -> tuple:
-    """The slot setter of each field the class adds, in order; faster than ``_set``."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, draft=False, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
-        cls.__match_args__ = cls._fields
+        if not draft:
+            cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+            cls.__match_args__ = cls._fields
+            twin = {"__slots__": cls.__slots__} if "__slots__" in cls.__dict__ else {}
+            twin.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__)
+            cls._draft = type(cls.__name__, cls.__bases__, twin, draft=True)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -54,6 +55,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Rebuild through __init__, so an unpickled record is re-checked and
-        # never needs the frozen __setattr__.
+        # Rebuild through the constructor, so an unpickled record is
+        # re-checked and never needs the frozen __setattr__.
         return type(self), self._values()

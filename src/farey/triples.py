@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .errors import DomainError, _frac, _shown
 from .fraction import Fraction, _coprime
-from .record import Record, _new, _set, _setters
+from .record import Record, _new
 
 
 class FareyTriple(Record):
@@ -53,16 +53,12 @@ class FareyTriple(Record):
 
     __slots__ = ("left", "center", "right", "order")
 
-    def __init__(self, left: Fraction, center: Fraction, right: Fraction, order: int):
-        _checked(self, left, center, right, order)
+    def __new__(cls, left: Fraction, center: Fraction, right: Fraction, order: int):
+        return _checked(cls, left, center, right, order)
 
 
-_put_left, _put_center, _put_right, _put_order = _setters(FareyTriple)
-
-
-def _checked(self, left: Fraction, center: Fraction, right: Fraction, order: int):
-    """Check a triple, store it in the bare record ``self`` and return it;
-    the queries call it on ``object.__new__(FareyTriple)``, skipping the type call."""
+def _checked(cls, left: Fraction, center: Fraction, right: Fraction, order: int):
+    """Check a triple and return it as a ``cls`` record, filled through its draft."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {_shown(order)}")
     if center.den != order or center.num < 1:
@@ -74,10 +70,12 @@ def _checked(self, left: Fraction, center: Fraction, right: Fraction, order: int
         raise DomainError(f"right pair {_frac(center)}, {_frac(right)} is not unimodular")
     if left.den >= order or right.den >= order:
         raise DomainError("outer denominators must be smaller than the order")
-    _put_left(self, left)
-    _put_center(self, center)
-    _put_right(self, right)
-    _put_order(self, order)
+    self = _new(cls._draft)
+    self.left = left
+    self.center = center
+    self.right = right
+    self.order = order
+    self.__class__ = cls
     return self
 
 
@@ -90,7 +88,7 @@ class ReductionChain(Record):
 
     __slots__ = ("quotients", "terminal", "start")
 
-    def __init__(self, quotients: tuple[int, ...], terminal: int, start: Fraction):
+    def __new__(cls, quotients: tuple[int, ...], terminal: int, start: Fraction):
         quotients = tuple(quotients)
         if terminal < 2:
             raise DomainError(f"terminal order must be >= 2, got {_shown(terminal)}")
@@ -100,9 +98,10 @@ class ReductionChain(Record):
             raise DomainError("empty chain is allowed exactly for numerator-1 starts")
         if not quotients and terminal != start.den:
             raise DomainError("empty chain must terminate at the start's denominator")
-        _set(self, "quotients", quotients)
-        _set(self, "terminal", terminal)
-        _set(self, "start", start)
+        self = _new(cls._draft)
+        self.quotients, self.terminal, self.start = quotients, terminal, start
+        self.__class__ = cls
+        return self
 
 
 def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
@@ -202,9 +201,7 @@ def lift_chain(chain: ReductionChain) -> FareyTriple:
     a, b, c, d = _lift(chain.quotients, chain.terminal)
     # Each image b/(q*b + a) of a reduced a/b is reduced, and so is the sum
     # of a unimodular pair.
-    return _checked(
-        _new(FareyTriple), _coprime(a, b), _coprime(a + c, b + d), _coprime(c, d), b + d
-    )
+    return _checked(FareyTriple, _coprime(a, b), _coprime(a + c, b + d), _coprime(c, d), b + d)
 
 
 def _base_successor(a: int, b: int) -> tuple[int, int]:
@@ -220,7 +217,7 @@ def _chain_triple(n: int, order: int) -> FareyTriple:
     start from the base triple, lift; the reduction refuses a reducible n/order."""
     _check_range(n, order)
     a, b, c, d = _lift(*_euclid(n, order))
-    return _checked(_new(FareyTriple), _coprime(a, b), _coprime(n, order), _coprime(c, d), order)
+    return _checked(FareyTriple, _coprime(a, b), _coprime(n, order), _coprime(c, d), order)
 
 
 def triple(n: int, order: int) -> FareyTriple:
@@ -238,5 +235,5 @@ def triple(n: int, order: int) -> FareyTriple:
     # Both outer pairs have cross determinant 1 with n/order, so all three
     # terms are reduced.
     return _checked(
-        _new(FareyTriple), _coprime(n - c, order - d), _coprime(n, order), _coprime(c, d), order
+        FareyTriple, _coprime(n - c, order - d), _coprime(n, order), _coprime(c, d), order
     )
