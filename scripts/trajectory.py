@@ -8,7 +8,7 @@ order of n.  Both layouts are read: BENCH_3-6 keep their claim and workloads
 at the top level, the files `scripts/ab.py` writes keep them under trace_0.
 Each row gives the claimed workload and metric, the parent and change
 medians, the change's wins over the pairs run and whether the claim was met,
-then the change-side medians of four end-to-end metrics, each on the
+then the change-side medians of five end-to-end metrics, each on the
 workload it describes.  Medians print rounded to integers, in their units
 (ns, or pairs per second for verify).
 """
@@ -27,6 +27,8 @@ COLUMNS = (
     ("triple 1e100", "query-1e100", "triple_p50_ns"),
     ("next 1e12", "query-1e12", "next_p50_ns"),
     ("next 1e100", "query-1e100", "next_p50_ns"),
+    # The small-order successor query that `verify` spends most of its time in.
+    ("next small", "verify-sweep", "next_p50_ns"),
     ("verify/s", "verify-sweep", "verify_pairs_per_s"),
     ("oneshot", "cli-oneshot", "oneshot_p50_ns"),
 )

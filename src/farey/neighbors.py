@@ -18,10 +18,10 @@ term; ``farey verify`` checks all three constructions against
 enumeration.
 
 Both queries build their one ``NeighborResult`` through ``_checked``, the
-check the public constructor runs, which fills the record's draft with
-plain stores and also holds each answer to its side: cross determinant +1
+check the public constructor runs, which fills the record as a draft (see
+``record``).  The queries also hold each answer to its side: determinant +1
 with the query for a successor, -1 for a predecessor, so an inverse of the
-wrong sign is refused there.  The public constructor accepts either side.
+wrong sign is refused there; the public constructor accepts either side.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class NeighborResult(Record):
 
 
 def _checked(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base, side: int):
-    """Check an answer and return it as a ``cls`` record filled through its draft.
-    ``side`` is the det(query, neighbor) required: 1 (successor), -1 or 0 (either)."""
+    """Check an answer and return it as a ``cls`` record, filled through its draft.
+    ``side`` is the det(query, neighbor) required: 1 successor, -1 predecessor, 0 either."""
     if order < query.den:
         member = f"a member of the sequence of order {_shown(order)}"
         raise DomainError(f"{_frac(query)} is not {member}")

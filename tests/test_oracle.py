@@ -1,5 +1,6 @@
 """Tests for the enumeration oracle and the defining-property verifier."""
 
+import fractions
 import math
 
 import pytest
@@ -195,6 +196,27 @@ class TestVerifyProperties:
     def test_empty_sequence(self):
         report = verify_properties(FareySequence(5, ()))
         assert not report.ok
+
+    @pytest.mark.parametrize(
+        "term, kind",
+        [
+            ((2, 5), "builtins.tuple"),
+            (fractions.Fraction(2, 5), "fractions.Fraction"),
+            (0.4, "builtins.float"),
+            (None, "builtins.NoneType"),
+        ],
+        ids=["tuple", "fractions.Fraction", "float", "None"],
+    )
+    @pytest.mark.parametrize("index", [1, 4, 10])
+    def test_a_term_that_is_not_a_fraction_fails_at_its_index(self, term, kind, index):
+        # An externally supplied list is reported, not raised on; index 10
+        # replaces the closing 1/1.
+        terms = list(_terms(5))
+        terms[index] = term
+        report = verify_properties(FareySequence(5, tuple(terms)))
+        assert not report.ok and report.index == index
+        assert report.failure == f"term {index} is a {kind}, not a farey.Fraction"
+        assert (report.pairs, report.mediants, report.centers) == (0, 0, 0)
 
 
 class TestScanTriple:

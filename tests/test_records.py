@@ -21,8 +21,11 @@ from farey import (
     NeighborResult,
     PropertyReport,
     ReductionChain,
+    base_triple,
     cf_expand,
     enumerate_farey,
+    lift_chain,
+    lift_step,
     reduction_chain,
     right_neighbor,
     left_neighbor,
@@ -76,6 +79,25 @@ def _fields(record):
     return tuple(getattr(record, name) for name in record._fields)
 
 
+def _subclass(base, shape):
+    """A subclass of ``base`` that adds no field, kept in this module's
+    globals so that pickle finds it: "slots" declares ``__slots__ = ()``,
+    "dict" declares no ``__slots__`` and so gives its instances a ``__dict__``."""
+    name = f"Tagged{base.__name__}{shape.title()}"
+    if name not in globals():
+        globals()[name] = type(name, (base,), {"__slots__": ()} if shape == "slots" else {})
+    return globals()[name]
+
+
+def _shaped(records, shapes):
+    """(record, shape) parameters; the first shape keeps the record's bare id."""
+    return [
+        pytest.param(r, s, id=type(r).__name__ + ("" if s == shapes[0] else f"-{s}"))
+        for s in shapes
+        for r in records
+    ]
+
+
 @pytest.mark.parametrize("record, text", EXAMPLES, ids=IDS)
 def test_repr_golden(record, text):
     assert repr(record) == text
@@ -89,17 +111,19 @@ def test_equality_by_value(record, _):
     assert twin is not record
 
 
-@pytest.mark.parametrize("record, _", EXAMPLES, ids=IDS)
-def test_equality_is_class_sensitive(record, _):
-    class Tagged(type(record)):
-        __slots__ = ()
-
+@pytest.mark.parametrize("record, shape", _shaped([r for r, _ in EXAMPLES], ("slots", "dict")))
+def test_equality_is_class_sensitive(record, shape):
+    Tagged = _subclass(type(record), shape)
     other = Tagged(*_fields(record))
+    assert type(other) is Tagged and hasattr(other, "__dict__") == (shape == "dict")
     assert other != record and record != other
     assert record.__eq__(other) is NotImplemented
     # A subclass keeps the parent's fields, as a dataclass subclass would.
     assert repr(other) == repr(record).replace(type(record).__name__, Tagged.__qualname__, 1)
     assert record != _fields(record)
+    clones = [pickle.loads(pickle.dumps(other, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in (*clones, copy.copy(other), copy.deepcopy(other)):
+        assert type(clone) is Tagged and clone == other and clone != record
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=[type(r).__name__ for r in FROZEN])
@@ -110,8 +134,10 @@ def test_hash_by_value(record):
     assert len({record, twin}) == 1
 
 
-@pytest.mark.parametrize("record", FROZEN, ids=[type(r).__name__ for r in FROZEN])
-def test_fields_are_frozen(record):
+@pytest.mark.parametrize("record, shape", _shaped(FROZEN, ("exact", "slots", "dict")))
+def test_fields_are_frozen(record, shape):
+    if shape != "exact":
+        record = _subclass(type(record), shape)(*_fields(record))
     name = record._fields[0]
     before = getattr(record, name)
     with pytest.raises(AttributeError):
@@ -121,6 +147,7 @@ def test_fields_are_frozen(record):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, name) is before
+    assert getattr(record, "__dict__", {}) == {}
 
 
 def test_property_report_is_mutable_and_unhashable():
@@ -198,15 +225,32 @@ def _assert_same_record(built, twin):
 
 @given(coprime_pairs(max_order=10**40), st.integers(0, 10**40))
 def test_queries_build_the_records_the_public_constructors_build(pair, extra):
-    # The queries fill bare records on a fast path; each record must be the
-    # one the validating keyword constructors make from the same fields.
+    # Every record is filled as a draft of its class and then given the
+    # class itself; each must come out as exactly the public class, equal to
+    # the one the validating keyword constructors make from the same fields.
     n, order = pair
-    for t in (triple(n, order), _chain_triple(n, order), triple_via_cf(Fraction(n, order))):
+    x = Fraction(n, order)
+    chain = reduction_chain(x)
+    triples = (
+        triple(n, order),
+        _chain_triple(n, order),
+        triple_via_cf(x),
+        lift_chain(chain),
+        lift_step(triple(n, order), 1 + extra % 7),
+        base_triple(order),
+    )
+    for t in triples:
         twin = FareyTriple(
-            left=_fresh(t.left), center=_fresh(t.center), right=_fresh(t.right), order=order
+            left=_fresh(t.left), center=_fresh(t.center), right=_fresh(t.right), order=t.order
         )
         _assert_same_record(t, twin)
-    x = Fraction(n, order)
+    twin = ReductionChain(quotients=chain.quotients, terminal=chain.terminal, start=_fresh(x))
+    _assert_same_record(chain, twin)
+    cf = cf_expand(x)
+    _assert_same_record(cf, ContinuedFraction(coeffs=cf.coeffs))
+    seq = enumerate_farey(1 + extra % 12)
+    twin = FareySequence(order=seq.order, terms=tuple(map(_fresh, seq.terms)))
+    _assert_same_record(seq, twin)
     for query in (right_neighbor, left_neighbor):
         for at in (order, order + extra):
             r = query(x, at)
@@ -232,6 +276,14 @@ def test_keyword_construction():
     assert FareyTriple(left=t.left, center=t.center, right=t.right, order=39) == t
     seq = enumerate_farey(2)
     assert FareySequence(order=2, terms=seq.terms) == seq
+    # Every field of every frozen record is a keyword, and none is optional.
+    for record in FROZEN:
+        fields = dict(zip(record._fields, _fields(record)))
+        _assert_same_record(type(record)(**fields), record)
+        assert type(record).__match_args__ == record._fields
+        for name in fields:
+            with pytest.raises(TypeError, match=repr(name)):
+                type(record)(**{k: v for k, v in fields.items() if k != name})
 
 
 @pytest.mark.parametrize(
