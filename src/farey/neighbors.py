@@ -17,11 +17,14 @@ continued-fraction triples give the same base neighbor as their right
 term; ``farey verify`` checks all three constructions against
 enumeration.
 
-Both queries build their one ``NeighborResult`` through ``_checked``, the
-check the public constructor runs, which fills the record as a draft (see
-``record``).  The queries also hold each answer to its side: determinant +1
-with the query for a successor, -1 for a predecessor, so an inverse of the
-wrong sign is refused there; the public constructor accepts either side.
+A ``NeighborResult`` stores the query, the order and the answer only: as
+1 <= d <= b, the answer fixes l = (answer.den - 1) // b and base = answer -
+l*query, so ``steps`` and ``base`` are derived on access.  Both queries fill
+their record through ``_checked``, the check the public constructor runs (see
+``record``), and hold the answer to its side: determinant +1 with the query
+for a successor, -1 for a predecessor, so an inverse of the wrong sign is
+refused there.  The constructor accepts either side, and refuses a ``steps``
+or ``base`` other than the derived ones.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .record import Record, _new
 from .triples import _base_successor
 
 
-class NeighborResult(Record):
+class NeighborResult(Record, derived=("steps", "base")):
     """A resolved successor or predecessor query.
 
     ``neighbor`` sits immediately beside ``query`` in the Farey sequence of
@@ -40,20 +43,32 @@ class NeighborResult(Record):
     the adjacent term in the smallest sequence containing the query.
     """
 
-    __slots__ = ("query", "order", "neighbor", "steps", "base")
+    __slots__ = ("query", "order", "neighbor")
 
     def __new__(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction):
-        return _checked(cls, query, order, neighbor, steps, base, 0)
+        self = _checked(cls, query, order, neighbor, 0)
+        if steps != self.steps:
+            raise DomainError(f"step count must be {_shown(self.steps)}, got {_shown(steps)}")
+        if base != self.base:
+            raise DomainError(f"base of {_frac(query)} must be {_frac(self.base)}")
+        return self
+
+    @property
+    def steps(self) -> int:
+        return (self.neighbor.den - 1) // self.query.den
+
+    @property
+    def base(self) -> Fraction:
+        q, n, steps = self.query, self.neighbor, self.steps
+        return _coprime(n.num - steps * q.num, n.den - steps * q.den)
 
 
-def _checked(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base, side: int):
+def _checked(cls, query: Fraction, order: int, neighbor: Fraction, side: int):
     """Check an answer and return it as a ``cls`` record, filled through its draft.
     ``side`` is the det(query, neighbor) required: 1 successor, -1 predecessor, 0 either."""
     if order < query.den:
         member = f"a member of the sequence of order {_shown(order)}"
         raise DomainError(f"{_frac(query)} is not {member}")
-    if steps < 0:
-        raise DomainError(f"step count must be >= 0, got {_shown(steps)}")
     det = neighbor.num * query.den - query.num * neighbor.den
     if det != 1 and det != -1:
         raise DomainError(f"{_frac(query)} and {_frac(neighbor)} are not unimodular")
@@ -71,8 +86,6 @@ def _checked(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, b
     self.query = query
     self.order = order
     self.neighbor = neighbor
-    self.steps = steps
-    self.base = base
     self.__class__ = cls
     return self
 
@@ -93,12 +106,11 @@ def right_neighbor(x: Fraction, order: int) -> NeighborResult:
     a, b = x.num, x.den
     if a == b:
         raise DomainError("1/1 is the last term of every sequence")
-    # Base and neighbor have cross determinant 1 with a/b, so both are
-    # reduced; the record rejects them unless order >= b.
+    # The neighbor has cross determinant 1 with a/b, so it is reduced; the
+    # record rejects it unless order >= b.
     c, d = _base_successor(a, b)
     steps = (order - d) // b
-    neighbor = _coprime(steps * a + c, steps * b + d)
-    return _checked(NeighborResult, x, order, neighbor, steps, _coprime(c, d), 1)
+    return _checked(NeighborResult, x, order, _coprime(steps * a + c, steps * b + d), 1)
 
 
 def left_neighbor(x: Fraction, order: int) -> NeighborResult:
@@ -112,5 +124,4 @@ def left_neighbor(x: Fraction, order: int) -> NeighborResult:
         raise DomainError("0/1 is the first term of every sequence")
     c, d = _base_successor(b - a, b)
     steps = (order - d) // b
-    neighbor = _coprime(steps * a + d - c, steps * b + d)
-    return _checked(NeighborResult, x, order, neighbor, steps, _coprime(d - c, d), -1)
+    return _checked(NeighborResult, x, order, _coprime(steps * a + d - c, steps * b + d), -1)

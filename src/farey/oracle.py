@@ -137,7 +137,8 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
     The list must run from 0/1 to 1/1, and each adjacent pair must be
     unimodular (determinant 1) with denominators <= N summing past N.  These
     checks jointly force the list to be exactly F_N, so no separate
-    completeness count is needed, and one pass over the pairs makes them.
+    completeness count is needed, and one pass over the pairs makes them,
+    once an int order >= 1 and ``Fraction`` terms are checked up front.
 
     The other defining properties follow from the pair checks, so the same
     pass only counts them.  Every interior term f with neighbors l and r is
@@ -150,15 +151,17 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
     l.den + r.den < 2N leaves k = 1; numerators are >= 0 because the terms
     rise from 0/1.
     """
-    report = PropertyReport(ok=True)
-    walk = _certified(seq.order, seq.terms, report)
-    try:
-        for _ in walk:
-            pass
-    except AttributeError:  # a term without num and den; the walk checks no types
-        i, x = next((i, x) for i, x in enumerate(seq.terms) if not isinstance(x, Fraction))
+    order, terms = seq.order, seq.terms
+    if not isinstance(order, int) or order < 1:
+        got = _shown(order) if isinstance(order, int) else f"a {type(order).__qualname__}"
+        return PropertyReport(False, failure=f"order must be an int >= 1, got {got}")
+    if not all(map(Fraction.__instancecheck__, terms)):  # isinstance(x, Fraction) at C speed
+        i, x = next((i, x) for i, x in enumerate(terms) if not isinstance(x, Fraction))
         kind = f"{type(x).__module__}.{type(x).__qualname__}, not a farey.Fraction"
-        report.ok, report.failure, report.index = False, f"term {i} is a {kind}", i
+        return PropertyReport(False, failure=f"term {i} is a {kind}", index=i)
+    report = PropertyReport(ok=True)
+    for _ in _certified(order, terms, report):
+        pass
     return report
 
 

@@ -2,9 +2,10 @@
 
 The result types are plain classes with ``__slots__`` rather than
 dataclasses, which keeps ``dataclasses`` (and the ``inspect`` machinery
-behind it) out of the package's import.  A record's fields are its
-``__slots__`` in order, after those of any record it subclasses; the base
-collects them in ``_fields``.  It supplies what a frozen dataclass would:
+behind it) out of the package's import.  A record's fields are its stored
+``__slots__`` in order, after those of any record it subclasses, then the
+read-only properties it names in ``derived=`` (values its constructor can
+compute from the stored ones); the base collects them in ``_fields``.  It supplies what a frozen dataclass would:
 value equality and hashing that only match the same class, a
 ``Name(field=value, ...)`` repr, and pickling and copying through the
 validating constructor.
@@ -24,10 +25,10 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, draft=False, **kwargs):
+    def __init_subclass__(cls, draft=False, derived=(), **kwargs):
         super().__init_subclass__(**kwargs)
         if not draft:
-            cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+            cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ())) + derived
             cls.__match_args__ = cls._fields
             twin = {"__slots__": cls.__slots__} if "__slots__" in cls.__dict__ else {}
             twin.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__)

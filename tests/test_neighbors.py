@@ -1,7 +1,11 @@
 """Tests for successor and predecessor queries at arbitrary order."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from farey import (
     DomainError,
@@ -174,6 +178,25 @@ class TestResultType:
         for neighbor in (Fraction(4, 11), Fraction(5, 14)):
             assert NeighborResult(x, 25, neighbor, 0, neighbor).neighbor == neighbor
 
+    def test_refuses_steps_and_base_the_neighbor_does_not_fix(self):
+        # 2/5 follows 1/3 at order 5 one rung above the base 1/2: (1*1 + 1)/(1*3 + 2).
+        with pytest.raises(DomainError, match="^step count must be 1, got 7$"):
+            NeighborResult(Fraction(1, 3), 5, Fraction(2, 5), 7, Fraction(0, 1))
+        with pytest.raises(DomainError, match="^base of 1/3 must be 1/2$"):
+            NeighborResult(Fraction(1, 3), 5, Fraction(2, 5), 1, Fraction(0, 1))
+        r = NeighborResult(Fraction(1, 3), 5, Fraction(2, 5), 1, Fraction(1, 2))
+        assert (r.steps, r.base) == (1, Fraction(1, 2))
+
+    def test_steps_and_base_are_derived_and_read_only(self):
+        assert NeighborResult.__slots__ == ("query", "order", "neighbor")
+        r = right_neighbor(Fraction(9, 25), 100)
+        for name in ("steps", "base"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, getattr(r, name))
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert (r.steps, r.base) == (3, Fraction(4, 11))
+
     def test_wrong_sign_inverse_is_caught_at_the_boundary(self, monkeypatch):
         # d = n^(-1) mod N instead of N - n^(-1) gives the neighbor on the
         # other side; it passes every check but the side, which must refuse it.
@@ -190,6 +213,49 @@ class TestResultType:
                 right_neighbor(x, order)
             with pytest.raises(DomainError, match="not the predecessor"):
                 left_neighbor(x, order)
+
+
+@st.composite
+def _queried_terms(draw):
+    """(x, order, query): x a term of F_order, at orders to 60 and near 10^12
+    and 10^100, with a neighbor query that x has."""
+    top = draw(st.sampled_from([60, 10**12, 10**100]))
+    order = draw(st.integers(1 if top == 60 else top // 10, top))
+    den = draw(st.integers(1, order))
+    x = Fraction(draw(st.integers(0, den)), den)
+    queries = [q for q, end in ((right_neighbor, x.den), (left_neighbor, 0)) if x.num != end]
+    return x, order, draw(st.sampled_from(queries))
+
+
+class TestDerivedFields:
+    @given(_queried_terms(), st.integers(-2, 2), st.integers(0, 5))
+    def test_the_constructor_accepts_exactly_the_derived_steps_and_base(self, case, shift, pick):
+        x, order, query = case
+        r = query(x, order)
+        assert r.steps == (order - r.base.den) // x.den
+        steps = r.steps + shift
+        base = (
+            r.base,
+            r.neighbor,
+            x,
+            Fraction(r.base.num + x.num, r.base.den + x.den),
+            Fraction(0, 1) if r.base.num else Fraction(1, 1),
+            (r.base.num, r.base.den),
+        )[pick]
+        if (steps, base) == (r.steps, r.base):
+            assert NeighborResult(x, order, r.neighbor, steps, base) == r
+        else:
+            with pytest.raises(DomainError):
+                NeighborResult(x, order, r.neighbor, steps, base)
+
+    @given(_queried_terms())
+    def test_every_query_record_pickles_and_copies(self, case):
+        x, order, query = case
+        r = query(x, order)
+        clones = [pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in (*clones, copy.copy(r), copy.deepcopy(r)):
+            assert type(clone) is NeighborResult and clone == r
+            assert (clone.steps, clone.base) == (r.steps, r.base)
 
 
 class TestAgainstOracle:

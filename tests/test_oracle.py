@@ -218,6 +218,25 @@ class TestVerifyProperties:
         assert report.failure == f"term {index} is a {kind}, not a farey.Fraction"
         assert (report.pairs, report.mediants, report.centers) == (0, 0, 0)
 
+    @pytest.mark.parametrize("order", ["5", None, 5.0, 0, -5], ids=repr)
+    def test_an_order_that_is_not_an_int_of_at_least_one_fails(self, order):
+        report = verify_properties(FareySequence(order, _terms(5)))
+        assert not report.ok and report.index is None
+        assert report.failure.startswith("order must be an int >= 1, got ")
+        assert (report.pairs, report.mediants, report.centers) == (0, 0, 0)
+
+    @pytest.mark.parametrize("index", [1, 4, 10])
+    def test_a_lookalike_term_with_int_fields_fails_at_its_index(self, index):
+        class Lookalike:
+            num, den = 2, 5
+
+        terms = list(_terms(5))
+        terms[index] = Lookalike()
+        report = verify_properties(FareySequence(5, tuple(terms)))
+        assert not report.ok and report.index == index
+        assert report.failure.startswith(f"term {index} is a ")
+        assert report.failure.endswith("Lookalike, not a farey.Fraction")
+
 
 class TestScanTriple:
     """triple_by_scan, the oracle's one route to a triple."""

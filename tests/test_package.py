@@ -1,6 +1,9 @@
 """The package's public surface, which resolves its names on first use."""
 
 import importlib
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +125,14 @@ def test_a_term_past_the_digit_limit_gets_a_short_property_report():
     report = farey.verify_properties(farey.FareySequence(5, terms))
     assert (report.ok, report.index) == (False, 0)
     assert report.failure == "denominator above order 5 in pair 0/1, 1/an int of 16610 bits"
+
+
+def test_the_python_floor_has_the_digit_limit_the_cli_reads():
+    # cli._digit_limit reads sys.get_int_max_str_digits and
+    # sys.int_info.default_max_str_digits, which Python has from 3.10.7 on.
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=([0-9.]+)"', pyproject).group(1)
+    assert tuple(map(int, floor.split("."))) >= (3, 10, 7)
+    assert f"Python {floor}+" in (root / "README.md").read_text()
+    assert sys.get_int_max_str_digits() >= 0 and sys.int_info.default_max_str_digits == 4300
