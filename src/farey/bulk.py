@@ -198,21 +198,31 @@ def _mean_text(total: int, count: int) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-def _bench_order(order: int, reps: int, cap: int) -> dict:
+def _bench_queries(order: int, count: int):
+    """The first ``count`` numerators n coprime to ``order`` drawn from a
+    fresh Random(f"bench:{order}"): every pass of `bench` over an order draws
+    the same sequence again, so no pass holds it."""
     from random import Random
 
-    by_method = cli._triple_by_method
     rng = Random(f"bench:{order}")
-    queries = []
-    while len(queries) < reps:
+    while count:
         n = rng.randrange(1, order)
         if math.gcd(n, order) == 1:
-            queries.append(n)
+            count -= 1
+            yield n
+
+
+def _bench_order(order: int, reps: int, cap: int) -> dict:
+    by_method = cli._triple_by_method
     row: dict = {"order": order}
     for method in cli._CONSTRUCTIONS:
-        by_method(queries[0], order, method, None)  # untimed: loads the route's module
+        # untimed: loads the route's module
+        by_method(next(_bench_queries(order, 1)), order, method, None)
         row[method] = _timing_summary(
-            [_time_ns(lambda n=n: by_method(n, order, method, None), _BATCH) for n in queries]
+            [
+                _time_ns(lambda n=n: by_method(n, order, method, None), _BATCH)
+                for n in _bench_queries(order, reps)
+            ]
         )
     # |F_order| >= order + 1 skips a huge order before its length is counted.
     if order + 1 > cap or (length := _farey_length(order)) > cap:
@@ -222,10 +232,16 @@ def _bench_order(order: int, reps: int, cap: int) -> dict:
         # walk for the cell by one cap's worth of terms.
         budget = max(1, min(reps, cap // length))
         row["oracle"] = _timing_summary(
-            [_time_ns(lambda n=n: by_method(n, order, "oracle", cap)) for n in queries[:budget]]
+            [
+                _time_ns(lambda n=n: by_method(n, order, "oracle", cap))
+                for n in _bench_queries(order, budget)
+            ]
         )
-    lengths = [len(_euclid(n, order)[0]) for n in queries]
-    row["chain_length"] = {"mean": _mean_text(sum(lengths), len(lengths)), "max": max(lengths)}
+    total = longest = 0
+    for n in _bench_queries(order, reps):
+        steps = len(_euclid(n, order)[0])
+        total, longest = total + steps, max(longest, steps)
+    row["chain_length"] = {"mean": _mean_text(total, reps), "max": longest}
     return row
 
 

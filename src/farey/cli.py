@@ -30,7 +30,6 @@ from types import SimpleNamespace
 from . import _load
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
 from .fraction import Fraction
-from .triples import FareyTriple, _chain_triple, _check_range, reduction_chain, triple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,12 +44,16 @@ MAX_CAP = 10 * DEFAULT_CAP
 MAX_REPS = 10**6
 
 # Names served from modules that only some commands need, each with its
-# module; farey.bulk holds the list, verify and bench commands, farey.usage
-# the help, usage errors and diagnostics, loaded on demand.  A name loads
-# on its first lookup as an attribute of this module (see __getattr__) and
-# then stays a plain global, so patching farey.cli.<name> reaches every
-# command that calls it.
+# module; farey.triples serves triple and chain but not next or prev,
+# farey.bulk holds the list, verify and bench commands, farey.usage the
+# help, usage errors and diagnostics.  A name loads on its first lookup as
+# an attribute of this module (see __getattr__) and then stays a plain
+# global, so patching farey.cli.<name> reaches every command that calls it.
 _LAZY = {
+    "triple": "triples",
+    "_chain_triple": "triples",
+    "_check_range": "triples",
+    "reduction_chain": "triples",
     "cf_expand": "cf",
     "triple_via_cf": "cf",
     "left_neighbor": "neighbors",
@@ -191,15 +194,15 @@ def _answer(args, payload, text: str) -> int:
 _CONSTRUCTIONS = ("inverse", "chain", "cf")
 
 
-def _triple_by_method(n: int, order: int, method: str, cap: int | None) -> FareyTriple:
+def _triple_by_method(n: int, order: int, method: str, cap: int | None):
     if method == "inverse":
-        return triple(n, order)
+        return _cli.triple(n, order)
     if method == "oracle":
         return _cli.triple_by_scan(n, order, cap)
     if method == "chain":
-        return _chain_triple(n, order)
+        return _cli._chain_triple(n, order)
     # The cf route's Euclid refuses a reducible n/order.
-    _check_range(n, order)
+    _cli._check_range(n, order)
     return _cli.triple_via_cf(Fraction._from_coprime(n, order))
 
 
@@ -238,7 +241,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    chain = reduction_chain(args.fraction)
+    chain = _cli.reduction_chain(args.fraction)
     quotients, terminal, k = list(chain.quotients), chain.terminal, len(chain.quotients)
     payload = {"start": str(chain.start), "quotients": quotients, "terminal": terminal, "k": k}
     rho = ",".join(map(str, quotients))

@@ -96,6 +96,14 @@ class Fraction:
 _coprime = Fraction._from_coprime
 
 
+def _base_successor(a: int, b: int) -> tuple[int, int]:
+    """(c, d): the term after a/b in F_b, for reduced 0 <= a < b."""
+    if a == 0:
+        return 1, 1
+    d = b - pow(a, -1, b)
+    return (1 + a * d) // b, d
+
+
 def cross_det(x: Fraction, y: Fraction) -> int:
     """Cross-multiplication determinant y.num*x.den - x.num*y.den.
 

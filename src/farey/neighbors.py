@@ -4,7 +4,7 @@ The term immediately after a/b in F_N is found in two moves.  First locate
 the term after a/b in the smallest sequence containing it, F_b.  That base
 neighbor c/d is the right term of the triple around a/b, which one modular
 inverse gives: d = b - a^(-1) mod b and c = (1 + a*d) / b
-(``triples._base_successor``; the derivation is in ``triples``).
+(``fraction._base_successor``; the derivation is in ``triples``).
 
 Then slide the base along the mediant ladder: with l = (N - d) // b, the
 answer is (l*a + c)/(l*b + d).  Each rung raises the denominator by b, so
@@ -30,9 +30,8 @@ or ``base`` other than the derived ones.
 from __future__ import annotations
 
 from .errors import DomainError, _frac, _shown
-from .fraction import Fraction, _coprime
+from .fraction import Fraction, _base_successor, _coprime
 from .record import Record, _new
-from .triples import _base_successor
 
 
 class NeighborResult(Record, derived=("steps", "base")):

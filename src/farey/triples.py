@@ -6,10 +6,12 @@ the unique fraction with N*c - n*d = 1 and 0 < d < N (Hardy & Wright,
 ch. III: consecutive Farey terms satisfy bc - ad = 1, and a second
 solution would differ by a multiple of (n, N), pushing d out of range).
 Reading the determinant modulo N gives n*d = -1 (mod N), so
-d = N - n^(-1) mod N and c = (1 + n*d) / N: ``pow(n, -1, N)``.  The left
-neighbor is then (n - c)/(N - d), because the center of a Farey triple is
-the mediant of its outer terms.  ``triple`` serves queries this way, and
-the inverse, which exists exactly when gcd(n, N) = 1, decides irreducibility.
+d = N - n^(-1) mod N and c = (1 + n*d) / N: ``pow(n, -1, N)``, in
+``fraction._base_successor``, which the neighbor queries share without
+loading this module.  The left neighbor is then (n - c)/(N - d), because the
+center of a Farey triple is the mediant of its outer terms.  ``triple``
+serves queries this way, and the inverse, which exists exactly when
+gcd(n, N) = 1, decides irreducibility.
 
 The paper's construction reaches the same triple in O(log N) exact integer
 steps and is kept as a reproduction that ``farey verify`` checks:
@@ -36,7 +38,7 @@ nothing is lost by skipping the intermediate triples.  ``lift_step`` and
 from __future__ import annotations
 
 from .errors import DomainError, _frac, _shown
-from .fraction import Fraction, _coprime
+from .fraction import Fraction, _base_successor, _coprime
 from .record import Record, _new
 
 
@@ -202,14 +204,6 @@ def lift_chain(chain: ReductionChain) -> FareyTriple:
     # Each image b/(q*b + a) of a reduced a/b is reduced, and so is the sum
     # of a unimodular pair.
     return _checked(FareyTriple, _coprime(a, b), _coprime(a + c, b + d), _coprime(c, d), b + d)
-
-
-def _base_successor(a: int, b: int) -> tuple[int, int]:
-    """(c, d): the term after a/b in F_b, for reduced 0 <= a < b."""
-    if a == 0:
-        return 1, 1
-    d = b - pow(a, -1, b)
-    return (1 + a * d) // b, d
 
 
 def _chain_triple(n: int, order: int) -> FareyTriple:

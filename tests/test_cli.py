@@ -581,6 +581,26 @@ class TestBench:
             "                 0        3.33/4\n"
         )
 
+    def test_queries_are_drawn_per_pass_not_held(self, monkeypatch):
+        # Holding the reps queries of a 1000-digit order would cost reps times
+        # one query's size over a 50-digit order; drawn per pass, the peaks
+        # differ by one call's temporaries.  Timings and chain lengths are
+        # stubbed, so only the draws and the warm-up calls run.
+        monkeypatch.setattr(bulk, "_time_ns", lambda fn, calls=1: 0)
+        monkeypatch.setattr(bulk, "_euclid", lambda n, order: ((), order))
+        reps, small, big = 500, 10**50 + 1, 10**1000 + 1
+        bulk._bench_order(39, 1, 10**7)  # loads every route's module
+
+        def peak(order):
+            tracemalloc.start()
+            try:
+                bulk._bench_order(order, reps, 10**7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(big) - peak(small) < reps * sys.getsizeof(big) // 4
+
     def test_low_cap_skips_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "--cap", "3", "bench", "5", "--reps", "2", "--json")
         assert code == 0
@@ -1342,6 +1362,7 @@ _MODULES_PROBE = (
     "    print(*sorted(sys.modules), file=sys.stderr)\n"
 )
 _ON_DEMAND = (
+    "farey.triples",
     "farey.cf",
     "farey.oracle",
     "farey.neighbors",
@@ -1373,12 +1394,17 @@ class TestImportsOnDemand:
         [
             pytest.param(argv, loaded, id=" ".join(argv))
             for argv, loaded in (
-                (["triple", "5", "39"], ()),
-                (["chain", "5/39"], ()),
+                (["triple", "5", "39"], ("farey.triples",)),
+                (["chain", "5/39"], ("farey.triples",)),
+                # The neighbor queries share the inverse kernel in
+                # farey.fraction, so they never compile farey.triples.
                 (["next", "9/25", "100"], ("farey.neighbors",)),
                 (["prev", "9/25", "25"], ("farey.neighbors",)),
-                (["cf", "9/25"], ("farey.cf",)),
-                (["verify", "12"], ("farey.bulk", "farey.oracle", "farey.neighbors", "farey.cf")),
+                (["cf", "9/25"], ("farey.cf", "farey.triples")),
+                (
+                    ["verify", "12"],
+                    ("farey.bulk", "farey.oracle", "farey.neighbors", "farey.cf", "farey.triples"),
+                ),
             )
         ],
     )
