@@ -9,8 +9,6 @@ O(1) terms whatever the order.  Queries, walks and bench rows go through
 ...), so a name patched there is the one these commands call.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from itertools import islice
@@ -18,9 +16,8 @@ from time import perf_counter_ns
 
 from . import cli
 from .errors import DomainError
-from .fraction import Fraction
+from .fraction import Fraction, _euclid
 from .oracle import PropertyReport, _certified, _farey_length
-from .triples import _euclid
 
 
 # Terms per write of `list`: enough to keep the writes few, few enough that
@@ -173,6 +170,9 @@ def cmd_verify(args) -> int:
 # Back-to-back calls behind each triple timing sample: a single call of
 # a few microseconds is at the mercy of the timer and the machine.
 _BATCH = 16
+# The most orders, and queries weighed by order size, one bench run may plan: a query
+# costs about its order's bit length squared, so it weighs 1 + (bits // 256)^2.
+_MAX_ORDERS, _MAX_WORK = 100, 10 * cli.MAX_REPS
 
 
 def _time_ns(fn, calls: int = 1) -> int:
@@ -251,9 +251,12 @@ def cmd_bench(args) -> int:
         orders = [cli._parse_count(token) for token in args.orders.split(",")]
     except DomainError:
         raise DomainError(f"cannot parse order list from {args.orders!r}") from None
+    cli._bounded(len(orders), "number of orders", 1, _MAX_ORDERS)
     for order in orders:
         cli._bounded(order, "order", 2)
     cli._bounded(args.reps, "reps", 1, cli.MAX_REPS)
+    work = sum(args.reps * (1 + (order.bit_length() >> 8) ** 2) for order in orders)
+    cli._bounded(work, "planned work (reps weighed by order size)", 1, _MAX_WORK)
     rows = [cli._bench_order(order, args.reps, cap) for order in orders]
     if args.json:
         cli._print_json({"cap": cap, "reps": args.reps, "rows": rows})

@@ -9,14 +9,29 @@ and the two neighbors of n/N in F_N are the evaluations of [0, q1, ..., qk]
 and [0, q1, ..., qk, T - 1], assigned to the left/right slots by the parity
 of k.  The last of those forms may legitimately end in 1, so evaluation
 accepts non-canonical input.
+
+Expanding needs only Euclid's quotients (``fraction._euclid``); `farey.triples`
+loads on the first use of a name in ``_LAZY``.
 """
 
-from __future__ import annotations
+import sys
 
+from . import _load
 from .errors import DomainError, _shown
-from .fraction import Fraction
+from .fraction import Fraction, _chain_of, _euclid
 from .record import Record, _new
-from .triples import FareyTriple, ReductionChain, _chain_of, _checked, _euclid
+
+# Names served from farey.triples on their first lookup as attributes of this
+# module (see __getattr__), then plain globals; only triple_via_cf needs them.
+_LAZY = {"FareyTriple": "triples", "ReductionChain": "triples", "_checked": "triples"}
+
+
+def __getattr__(name):
+    return _load(globals(), _LAZY, name)
+
+
+# This module as an object: a bare global lookup does not consult __getattr__.
+_cf = sys.modules[__name__]
 
 
 class ContinuedFraction(Record):
@@ -46,7 +61,7 @@ class ContinuedFraction(Record):
         return len(self.coeffs) == 1 or self.coeffs[-1] >= 2
 
     @classmethod
-    def parse(cls, text: str) -> ContinuedFraction:
+    def parse(cls, text: str) -> "ContinuedFraction":
         """Parse the bracketed text form, e.g. "[0,2,1,3,2]"."""
         body = text.strip()
         if not (body.startswith("[") and body.endswith("]")):
@@ -63,7 +78,7 @@ class ContinuedFraction(Record):
 
 def cf_expand(x: Fraction) -> ContinuedFraction:
     """The canonical expansion of x: [0] for 0/1, [1] for 1/1, and otherwise
-    [0, q1, ..., qk, T] from x's quotient chain (triples._euclid).
+    [0, q1, ..., qk, T] from x's quotient chain (fraction._euclid).
 
     The chain's quotients are the Euclidean algorithm's on (num, den), and
     its terminal T >= 2, so no trailing 1 is ever produced.
@@ -99,7 +114,7 @@ def cf_canonicalize(cf: ContinuedFraction) -> ContinuedFraction:
     return ContinuedFraction(coeffs)
 
 
-def cf_of_chain(chain: ReductionChain) -> ContinuedFraction:
+def cf_of_chain(chain: "ReductionChain") -> ContinuedFraction:
     """[0, q1, ..., qk, terminal]: the chain read as an expansion.
 
     Evaluates back to the chain's start; equal to cf_expand(chain.start).
@@ -107,7 +122,7 @@ def cf_of_chain(chain: ReductionChain) -> ContinuedFraction:
     return ContinuedFraction((0,) + chain.quotients + (chain.terminal,))
 
 
-def triple_via_cf(center: Fraction) -> FareyTriple:
+def triple_via_cf(center: Fraction) -> "FareyTriple":
     """The triple around ``center`` in F_(center.den), built from expansions.
 
     With center = [0, q1, ..., qk, T], the neighbors evaluate
@@ -129,4 +144,4 @@ def triple_via_cf(center: Fraction) -> FareyTriple:
         left, right = truncated, lowered
     else:
         left, right = lowered, truncated
-    return _checked(FareyTriple, left, center, right, center.den)
+    return _cf._checked(_cf.FareyTriple, left, center, right, center.den)

@@ -21,8 +21,6 @@ environment variable, which wins over the 10,000,000-term default.  Neither
 may exceed MAX_CAP (100,000,000 terms).
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace
@@ -43,9 +41,9 @@ MAX_CAP = 10 * DEFAULT_CAP
 # The most queries `farey bench` makes per cell.
 MAX_REPS = 10**6
 
-# Names served from modules that only some commands need, each with its
-# module; farey.triples serves triple and chain but not next or prev,
-# farey.bulk holds the list, verify and bench commands, farey.usage the
+# Names served from modules that only some commands need, each with its module;
+# farey.triples serves triple and chain but not next, prev or cf (which expands
+# with fraction._euclid), farey.bulk holds list, verify and bench, farey.usage the
 # help, usage errors and diagnostics.  A name loads on its first lookup as
 # an attribute of this module (see __getattr__) and then stays a plain
 # global, so patching farey.cli.<name> reaches every command that calls it.

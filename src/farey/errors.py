@@ -26,3 +26,7 @@ def _shown(k: int) -> str:
 def _frac(f) -> str:
     """str(f) for a Fraction f, with each part rendered by _shown."""
     return f"{_shown(f.num)}/{_shown(f.den)}"
+
+
+def _reducible(n: int, order: int) -> DomainError:
+    return DomainError(f"{_shown(n)}/{_shown(order)} not irreducible")

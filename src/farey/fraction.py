@@ -3,13 +3,14 @@
 Every value in this package is an irreducible fraction between 0/1 and 1/1.
 Python's unbounded integers keep all products exact, so there is no overflow
 path to guard; results are either correct or a precondition error.
-"""
 
-from __future__ import annotations
+It also holds the plain-int kernels that every query loads with it:
+``_base_successor`` (the base neighbor) and ``_euclid``/``_chain_of`` (the quotient chain).
+"""
 
 from math import gcd
 
-from .errors import DomainError, _shown
+from .errors import DomainError, _frac, _reducible, _shown
 from .record import _new
 
 
@@ -36,7 +37,7 @@ class Fraction:
         self.den = den // g
 
     @staticmethod
-    def _from_coprime(num: int, den: int) -> Fraction:
+    def _from_coprime(num: int, den: int) -> "Fraction":
         # Hot-path constructor, static so a call binds nothing: the caller
         # guarantees gcd(num, den) == 1 and 0 <= num <= den.  Used by the
         # enumeration recurrence and other loops whose outputs are reduced.
@@ -46,7 +47,7 @@ class Fraction:
         return self
 
     @classmethod
-    def parse(cls, text: str) -> Fraction:
+    def parse(cls, text: str) -> "Fraction":
         """Parse the canonical "num/den" rendering; reduces on input."""
         parts = text.strip().split("/")
         if len(parts) != 2:
@@ -57,7 +58,7 @@ class Fraction:
             raise DomainError(f"cannot parse fraction from {text!r}") from None
         return cls(num, den)
 
-    def complement(self) -> Fraction:
+    def complement(self) -> "Fraction":
         """1 - self; the involution that reverses the order of any F_N."""
         return Fraction._from_coprime(self.den - self.num, self.den)
 
@@ -104,6 +105,27 @@ def _base_successor(a: int, b: int) -> tuple[int, int]:
     return (1 + a * d) // b, d
 
 
+def _euclid(n: int, order: int) -> tuple[list[int], int]:
+    """(quotients, terminal) of the steps n/order -> (order mod n)/n that
+    end at numerator 1, for 1 <= n < order; refuses n/order if they hit 0."""
+    quotients = []
+    a, b = n, order
+    while a > 1:
+        q = b // a
+        quotients.append(q)
+        a, b = b - q * a, a
+    if a == 0:
+        raise _reducible(n, order)
+    return quotients, b
+
+
+def _chain_of(center: Fraction) -> tuple[list[int], int]:
+    """_euclid on a center, which must lie strictly between 0 and 1."""
+    if center.num == 0 or center.num == center.den:
+        raise DomainError(f"center must satisfy 0 < {_frac(center)} < 1")
+    return _euclid(center.num, center.den)
+
+
 def cross_det(x: Fraction, y: Fraction) -> int:
     """Cross-multiplication determinant y.num*x.den - x.num*y.den.
 
@@ -113,7 +135,7 @@ def cross_det(x: Fraction, y: Fraction) -> int:
     return y.num * x.den - x.num * y.den
 
 
-def mediant(x: Fraction, y: Fraction) -> Fraction:
+def mediant(x: Fraction, y: Fraction) -> "Fraction":
     """(x.num + y.num) / (x.den + y.den), reduced.
 
     When cross_det(x, y) == 1 the mediant is already reduced and sits

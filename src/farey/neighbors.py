@@ -27,8 +27,6 @@ refused there.  The constructor accepts either side, and refuses a ``steps``
 or ``base`` other than the derived ones.
 """
 
-from __future__ import annotations
-
 from .errors import DomainError, _frac, _shown
 from .fraction import Fraction, _base_successor, _coprime
 from .record import Record, _new

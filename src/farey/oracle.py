@@ -8,14 +8,12 @@ Only `enumerate_farey` keeps the terms; the rest walk them once, after the
 cap is checked against the exact length |F_N|.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 
-from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _shown
+from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _reducible, _shown
 from .fraction import Fraction
 from .record import Record, _new
-from .triples import FareyTriple, _check_range, _reducible
+from .triples import FareyTriple, _check_range
 
 
 class FareySequence(Record):

@@ -17,7 +17,8 @@ The paper's construction reaches the same triple in O(log N) exact integer
 steps and is kept as a reproduction that ``farey verify`` checks:
 
   1. reduce the center by Euclidean quotient steps n/N -> n'/n until the
-     numerator reaches 1, refusing n/N if it reaches 0 (``reduction_chain``),
+     numerator reaches 1, refusing n/N if it reaches 0 (``reduction_chain``;
+     the steps are ``fraction._euclid``, which `farey.cf` expands without this module),
   2. take the first three terms of F_T for the terminal order T reached,
      which are always 0/1, 1/T, 1/(T-1) (``base_triple``),
   3. replay the recorded quotients in reverse, each step sending a/b to
@@ -35,10 +36,8 @@ nothing is lost by skipping the intermediate triples.  ``lift_step`` and
 ``base_triple`` remain the one-step, validated form of the chain.
 """
 
-from __future__ import annotations
-
-from .errors import DomainError, _frac, _shown
-from .fraction import Fraction, _base_successor, _coprime
+from .errors import DomainError, _frac, _reducible, _shown
+from .fraction import Fraction, _base_successor, _chain_of, _coprime, _euclid
 from .record import Record, _new
 
 
@@ -130,31 +129,6 @@ def _check_range(n: int, order: int) -> None:
         raise DomainError(f"order must be >= 2, got {_shown(order)}")
     if not 1 <= n < order:
         raise DomainError(f"numerator must satisfy 1 <= n < {_shown(order)}, got {_shown(n)}")
-
-
-def _reducible(n: int, order: int) -> DomainError:
-    return DomainError(f"{_shown(n)}/{_shown(order)} not irreducible")
-
-
-def _euclid(n: int, order: int) -> tuple[list[int], int]:
-    """(quotients, terminal) of the steps n/order -> (order mod n)/n that
-    end at numerator 1, for 1 <= n < order; refuses n/order if they hit 0."""
-    quotients = []
-    a, b = n, order
-    while a > 1:
-        q = b // a
-        quotients.append(q)
-        a, b = b - q * a, a
-    if a == 0:
-        raise _reducible(n, order)
-    return quotients, b
-
-
-def _chain_of(center: Fraction) -> tuple[list[int], int]:
-    """_euclid on a center, which must lie strictly between 0 and 1."""
-    if center.num == 0 or center.num == center.den:
-        raise DomainError(f"center must satisfy 0 < {_frac(center)} < 1")
-    return _euclid(center.num, center.den)
 
 
 def _lift(quotients: list[int] | tuple[int, ...], terminal: int) -> tuple[int, int, int, int]:

@@ -3,8 +3,6 @@ loads on the first lookup of one of these names (see ``cli._LAZY``): a query
 that its command table parses and that succeeds never compiles this module.
 Only help and usage errors import argparse."""
 
-from __future__ import annotations
-
 import os
 import sys
 

@@ -651,6 +651,40 @@ class TestBench:
         assert asked == [cli.MAX_REPS] == [10**6]
         assert json.loads(out)["reps"] == 10**6
 
+    @pytest.mark.parametrize(
+        "orders, reps, message",
+        [
+            # 10^6 queries at 4,300 digits: about a second each, 12 days per route.
+            (f"10^{DIGIT_LIMIT - 1}", "10^6", "planned work (reps weighed by order size) must be"
+             " <= 10,000,000, got 3026000000"),
+            (",".join(["5"] * 11), "10^6", "planned work (reps weighed by order size) must be"
+             " <= 10,000,000, got 11000000"),
+            (",".join(["5"] * 101), "1", "number of orders must be <= 100, got 101"),
+        ],
+        ids=["4300 digits", "11 full cells", "101 orders"],
+    )
+    def test_runs_over_the_work_budget_are_refused(self, capsys, monkeypatch, orders, reps, message):
+        def unreachable(*args):
+            raise AssertionError("bench ran past a refused plan")
+
+        monkeypatch.setattr(cli, "_bench_order", unreachable)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bench", orders, "--reps", reps)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "orders, reps",
+        [(",".join(["5"] * 10), "10^6"), (",".join(["10^76"] * 10), "10^6"), (",".join(["5"] * 100), "1")],
+        ids=["10 full cells", "10 full cells below 2^256", "100 orders"],
+    )
+    def test_runs_at_the_work_budget_are_accepted(self, capsys, monkeypatch, orders, reps):
+        asked = []
+        monkeypatch.setattr(cli, "_bench_order", lambda order, reps, cap: asked.append(order) or {})
+        code, _, err = run_cli(capsys, "--json", "bench", orders, "--reps", reps)
+        assert (code, err) == (0, "")
+        assert asked == [cli._parse_count(order) for order in orders.split(",")]
+
     def test_rejects_bad_orders(self, capsys):
         for orders in ("5,x", "", ","):
             code, _, err = run_cli(capsys, "bench", orders)
@@ -1400,7 +1434,8 @@ class TestImportsOnDemand:
                 # farey.fraction, so they never compile farey.triples.
                 (["next", "9/25", "100"], ("farey.neighbors",)),
                 (["prev", "9/25", "25"], ("farey.neighbors",)),
-                (["cf", "9/25"], ("farey.cf", "farey.triples")),
+                # The expansion needs only fraction._euclid.
+                (["cf", "9/25"], ("farey.cf",)),
                 (
                     ["verify", "12"],
                     ("farey.bulk", "farey.oracle", "farey.neighbors", "farey.cf", "farey.triples"),
@@ -1414,6 +1449,38 @@ class TestImportsOnDemand:
         modules = set(proc.stderr.split())
         assert "farey.cli" in modules
         assert sorted(m for m in _ON_DEMAND if m in modules) == sorted(loaded)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triple", "5", "39"],
+            ["chain", "5/39"],
+            ["next", "9/25", "100"],
+            ["prev", "9/25", "25"],
+            ["cf", "9/25"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_query_imports_no_future(self, argv):
+        proc = _probe_modules(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "__future__" not in proc.stderr.split()
+
+    def test_triple_via_cf_loads_triples_on_its_first_call(self):
+        probe = (
+            "import sys\n"
+            "from farey.cf import triple_via_cf\n"
+            "from farey.fraction import Fraction\n"
+            "print('farey.triples' in sys.modules)\n"
+            "t = triple_via_cf(Fraction(5, 39))\n"
+            "print(t.left, t.center, t.right, t.order)\n"
+            "import farey.cf as cf, farey.triples as triples\n"
+            "print(cf.FareyTriple is triples.FareyTriple, cf.ReductionChain is triples.ReductionChain)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), check=True
+        )
+        assert proc.stdout == "False\n1/8 5/39 4/31 39\nTrue True\n"
 
     def test_a_usage_error_loads_argparse_for_its_message(self):
         proc = _probe_modules(["triple", "5"])
