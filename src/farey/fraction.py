@@ -135,7 +135,7 @@ def cross_det(x: Fraction, y: Fraction) -> int:
     return y.num * x.den - x.num * y.den
 
 
-def mediant(x: Fraction, y: Fraction) -> "Fraction":
+def mediant(x: Fraction, y: Fraction) -> Fraction:
     """(x.num + y.num) / (x.den + y.den), reduced.
 
     When cross_det(x, y) == 1 the mediant is already reduced and sits

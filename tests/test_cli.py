@@ -654,7 +654,7 @@ class TestBench:
     @pytest.mark.parametrize(
         "orders, reps, message",
         [
-            # 10^6 queries at 4,300 digits: about a second each, 12 days per route.
+            # 10^6 queries at 4,300 digits: about a second each, some 12 days.
             (f"10^{DIGIT_LIMIT - 1}", "10^6", "planned work (reps weighed by order size) must be"
              " <= 10,000,000, got 3026000000"),
             (",".join(["5"] * 11), "10^6", "planned work (reps weighed by order size) must be"
