@@ -2,7 +2,19 @@
 # End-to-end drive of the installed CLI in fresh subprocesses.
 # Exercises every subcommand, both entry points, JSON mode, the cap, and
 # every exit code against golden expectations. Independent of pytest.
+# Without an installed `farey`, it runs the package in src/ through a
+# temporary `farey` shim: bash scripts/e2e.sh from a checkout.
 set -u
+
+if ! command -v farey >/dev/null; then
+    src="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+    export PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+    shim="$(mktemp -d)"
+    trap 'rm -rf "$shim"' EXIT
+    printf '#!/bin/sh\nexec python3 -m farey "$@"\n' > "$shim/farey"
+    chmod +x "$shim/farey"
+    export PATH="$shim:$PATH"
+fi
 
 pass=0
 fail=0

@@ -263,7 +263,7 @@ _COMMANDS = {
             "--method": {
                 "choices": (*_CONSTRUCTIONS, "oracle"),
                 "default": "inverse",
-                "help": "construction to use (default: inverse)",
+                "help": "construction to use (default: %(default)s)",
             },
         },
     ),
@@ -278,7 +278,7 @@ _COMMANDS = {
             "--jobs": {
                 "type": _parse_count,
                 "default": 1,
-                "help": "worker processes (default 1; at most one per CPU and per order)",
+                "help": "worker processes (default %(default)s; at most one per CPU and per order)",
             },
         },
     ),
@@ -289,7 +289,7 @@ _COMMANDS = {
             "--reps": {
                 "type": _parse_count,
                 "default": 25,
-                "help": f"queries per cell (default 25, at most {MAX_REPS:,})",
+                "help": f"queries per cell (default %(default)s, at most {MAX_REPS:,})",
             },
         },
     ),

@@ -17,10 +17,10 @@ from .record import _new
 class Fraction:
     """An irreducible fraction num/den with 0 <= num <= den and den >= 1.
 
-    Instances are reduced on construction and never mutated, so they can be
-    shared freely between threads.  Only the operations the Farey
-    construction needs exist here; this is deliberately not a general
-    rational arithmetic type.
+    Instances are reduced on construction and never mutated by the package,
+    though their slots stay writable: freezing them as the records are
+    frozen made a build about 1.8x slower.  Only the operations the Farey
+    construction needs exist here; this is not a general rational type.
     """
 
     __slots__ = ("num", "den")

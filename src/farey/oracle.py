@@ -182,7 +182,7 @@ def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) ->
         if d != 1:
             pair = f"{_frac(x)}, {_frac(y)}"
             return fail(f"adjacent pair {pair} has determinant {_shown(d)}, expected 1", i)
-        if x.den > order or y.den > order:
+        if y.den > order:  # x is 0/1 or the last pair's checked y
             pair = f"{_frac(x)}, {_frac(y)}"
             return fail(f"denominator above order {_shown(order)} in pair {pair}", i)
         if x.den + y.den <= order:

@@ -45,11 +45,11 @@ class FareyTriple(Record):
     """Three consecutive fractions of F_order whose middle term has
     denominator exactly ``order``.
 
-    Construction checks the defining invariants: both adjacent pairs are
-    unimodular, the center is n/order with n >= 1, and the outer
-    denominators stay below ``order``.  Together these force the center to
-    be the mediant of the outer terms and the outer numerators/denominators
-    to sum to the center's.
+    Construction checks the defining invariants: the center has denominator
+    ``order``, both adjacent pairs are unimodular, and the outer
+    denominators stay below ``order``.  These force order >= 1, a center
+    numerator >= 1, the center to be the mediant of the outer terms, and
+    the outer numerators/denominators to sum to the center's.
     """
 
     __slots__ = ("left", "center", "right", "order")
@@ -60,11 +60,8 @@ class FareyTriple(Record):
 
 def _checked(cls, left: Fraction, center: Fraction, right: Fraction, order: int):
     """Check a triple and return it as a ``cls`` record, filled through its draft."""
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {_shown(order)}")
-    if center.den != order or center.num < 1:
-        form = f"of the form n/{_shown(order)} with n >= 1"
-        raise DomainError(f"center {_frac(center)} is not {form}")
+    if center.den != order:
+        raise DomainError(f"center {_frac(center)} is not of the form n/{_shown(order)}")
     if center.num * left.den - left.num * order != 1:
         raise DomainError(f"left pair {_frac(left)}, {_frac(center)} is not unimodular")
     if right.num * order - center.num * right.den != 1:
@@ -83,26 +80,28 @@ def _checked(cls, left: Fraction, center: Fraction, right: Fraction, order: int)
 class ReductionChain(Record):
     """The Euclidean quotient steps that reduce ``start`` to 1/terminal.
 
-    ``quotients`` is empty exactly when start already has numerator 1, in
-    which case ``terminal`` equals start's denominator.
+    Construction recomputes the chain of ``start`` and refuses any other
+    ``quotients`` or ``terminal``; ``quotients`` is empty exactly when start
+    has numerator 1, and ``terminal`` is then start's denominator.
     """
 
     __slots__ = ("quotients", "terminal", "start")
 
     def __new__(cls, quotients: tuple[int, ...], terminal: int, start: Fraction):
-        quotients = tuple(quotients)
-        if terminal < 2:
-            raise DomainError(f"terminal order must be >= 2, got {_shown(terminal)}")
-        if any(q < 1 for q in quotients):
-            raise DomainError("quotients must be positive")
-        if (len(quotients) == 0) != (start.num == 1):
-            raise DomainError("empty chain is allowed exactly for numerator-1 starts")
-        if not quotients and terminal != start.den:
-            raise DomainError("empty chain must terminate at the start's denominator")
-        self = _new(cls._draft)
-        self.quotients, self.terminal, self.start = quotients, terminal, start
-        self.__class__ = cls
+        self = _chained(cls, start)
+        if tuple(quotients) != self.quotients or terminal != self.terminal:
+            chain = f"quotients ending at terminal {_shown(terminal)}"
+            raise DomainError(f"{chain} are not the reduction chain of {_frac(start)}")
         return self
+
+
+def _chained(cls, start: Fraction):
+    """The chain of ``start`` as a ``cls`` record, filled through its draft."""
+    quotients, terminal = _chain_of(start)
+    self = _new(cls._draft)
+    self.quotients, self.terminal, self.start = tuple(quotients), terminal, start
+    self.__class__ = cls
+    return self
 
 
 def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
@@ -125,7 +124,7 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
 
 
 def _check_range(n: int, order: int) -> None:
-    if order < 2:
+    if order < 2:  # implied by 1 <= n < order, but its message is the clearer one
         raise DomainError(f"order must be >= 2, got {_shown(order)}")
     if not 1 <= n < order:
         raise DomainError(f"numerator must satisfy 1 <= n < {_shown(order)}, got {_shown(n)}")
@@ -152,8 +151,7 @@ def reduction_chain(center: Fraction) -> ReductionChain:
     numerators are Euclid's remainders, which hit 1 when n/N is reduced and
     0 (refused) otherwise; the denominator at 1 is the terminal order.
     """
-    quotients, terminal = _chain_of(center)
-    return ReductionChain(tuple(quotients), terminal, center)
+    return _chained(ReductionChain, center)
 
 
 def base_triple(order: int) -> FareyTriple:

@@ -700,6 +700,7 @@ class TestExitCodesAndCap:
         assert run_cli(capsys)[0] == 1
         assert run_cli(capsys, "frobnicate", "1")[0] == 1
         assert run_cli(capsys, "list", "ten")[0] == 1
+        assert run_cli(capsys, "list", "2^-3")[0] == 1
 
     def test_cap_boundary_via_flag(self, capsys):
         assert run_cli(capsys, "--cap", "11", "list", "5")[0] == 0
@@ -1646,6 +1647,9 @@ class TestInterrupt:
             text=True,
             env=_src_env(),
             start_new_session=True,
+            # An inherited SIG_IGN would keep Python's KeyboardInterrupt
+            # handler from being installed in the child.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
         group = proc.pid
         try:

@@ -172,6 +172,11 @@ class TestResultType:
         with pytest.raises(DomainError, match="not a member"):
             NeighborResult(Fraction(1, 4), 3, Fraction(1, 3), 0, Fraction(1, 3))
 
+    def test_rejects_neighbor_outside_the_order(self):
+        # 1/2 and 2/3 are unimodular, but 2/3 is not a term of F_2.
+        with pytest.raises(DomainError, match="lies outside a sequence of order 2"):
+            NeighborResult(Fraction(1, 2), 2, Fraction(2, 3), 0, Fraction(2, 3))
+
     def test_accepts_either_side(self):
         # The record has no side field: a successor and a predecessor both fit.
         x = Fraction(9, 25)

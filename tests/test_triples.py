@@ -12,6 +12,8 @@ from farey import (
     Fraction,
     ReductionChain,
     base_triple,
+    cf_evaluate,
+    cf_of_chain,
     cross_det,
     lift_chain,
     lift_step,
@@ -22,6 +24,7 @@ from farey import (
     triple_via_cf,
 )
 from farey import cli, fraction, triples
+from farey.oracle import iterate_farey
 from helpers import are_adjacent, sweep
 from strats import coprime_pairs, farey_triples
 
@@ -81,12 +84,64 @@ class TestFareyTripleValidation:
         with pytest.raises(DomainError, match="smaller than the order"):
             FareyTriple(_f("1/3"), _f("1/2"), _f("2/3"), 2)
 
+    def test_accepts_what_the_five_earlier_checks_accept(self):
+        # The reference adds order >= 1 and a center numerator >= 1 to the
+        # constructor's checks; for Fraction fields the center denominator
+        # and the two determinants imply both.  Every triple of terms of
+        # F_8, at every order from -1 to 9, gets the same verdict from both.
+        def five_checks(left, center, right, order):
+            return (
+                order >= 1
+                and center.den == order
+                and center.num >= 1
+                and center.num * left.den - left.num * order == 1
+                and right.num * order - center.num * right.den == 1
+                and left.den < order
+                and right.den < order
+            )
+
+        terms = list(iterate_farey(8))
+        for order in range(-1, 10):
+            for left in terms:
+                for center in terms:
+                    for right in terms:
+                        try:
+                            FareyTriple(left, center, right, order)
+                            accepted = True
+                        except DomainError:
+                            accepted = False
+                        assert accepted == five_checks(left, center, right, order)
+
     @given(farey_triples())
     def test_sum_identities_follow(self, t):
         # Consequences of the checked invariants, not separately enforced.
         assert mediant(t.left, t.right) == t.center
         assert t.left.num + t.right.num == t.center.num
         assert t.left.den + t.right.den == t.order
+
+
+@st.composite
+def _chain_candidates(draw):
+    """(start, quotients, terminal): an interior term of F_N, at N up to 60
+    and near 10^12 and 10^100, with its own chain or one edited by a
+    quotient +-1, the terminal +-1, or a quotient appended or dropped."""
+    top = draw(st.sampled_from([60, 10**12, 10**100]))
+    order = draw(st.integers(2 if top == 60 else top // 10, top))
+    den = draw(st.integers(2, order))
+    start = Fraction(draw(st.integers(1, den - 1)), den)
+    chain = reduction_chain(start)
+    quotients, terminal = list(chain.quotients), chain.terminal
+    edit = draw(st.sampled_from(["none", "quotient", "terminal", "append", "drop"]))
+    delta = draw(st.sampled_from([-1, 1]))
+    if edit == "terminal":
+        terminal += delta
+    elif edit == "append":
+        quotients.append(draw(st.integers(1, 9)))
+    elif quotients and edit == "quotient":
+        quotients[draw(st.integers(0, len(quotients) - 1))] += delta
+    elif quotients and edit == "drop":
+        del quotients[draw(st.integers(0, len(quotients) - 1))]
+    return start, tuple(quotients), terminal
 
 
 class TestReductionChain:
@@ -134,6 +189,31 @@ class TestReductionChain:
             ReductionChain((2,), 5, _f("1/5"))
         with pytest.raises(DomainError):
             ReductionChain((), 6, _f("1/5"))
+
+    def test_type_rejects_a_chain_of_another_start(self):
+        # (7,) ending at 4 is the chain of 4/29, not of 5/39.
+        with pytest.raises(DomainError, match="^quotients ending at terminal 4 .* of 5/39$"):
+            ReductionChain((7,), 4, _f("5/39"))
+        assert reduction_chain(_f("4/29")) == ReductionChain((7,), 4, _f("4/29"))
+
+    @given(_chain_candidates())
+    def test_type_accepts_exactly_the_reduction_chain(self, case):
+        start, quotients, terminal = case
+        chain = reduction_chain(start)
+        if (quotients, terminal) != (chain.quotients, chain.terminal):
+            with pytest.raises(DomainError):
+                ReductionChain(quotients, terminal, start)
+            return
+        built = ReductionChain(list(quotients), terminal, start)
+        assert built == chain
+        assert lift_chain(built).center == built.start
+        assert cf_evaluate(cf_of_chain(built)) == built.start
+
+    def test_reduction_chain_runs_euclid_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(triples, "_chain_of", lambda x: calls.append(x) or fraction._chain_of(x))
+        assert reduction_chain(_f("5/39")).quotients == (7, 1)
+        assert calls == [_f("5/39")]
 
     @given(coprime_pairs(max_order=10**6))
     def test_replay_reproduces_chain(self, pair):
