@@ -36,7 +36,6 @@ _EXPORTS = {
         "cf_evaluate",
         "cf_expand",
         "cf_of_chain",
-        "triple_via_cf",
     ),
     "errors": ("CapExceededError", "DEFAULT_CAP", "DomainError"),
     "fraction": ("Fraction", "cross_det", "mediant"),
@@ -57,6 +56,7 @@ _EXPORTS = {
         "lift_step",
         "reduction_chain",
         "triple",
+        "triple_via_cf",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,5 +1,4 @@
-"""Simple continued fractions for rationals in [0, 1], and the triple
-construction expressed through them.
+"""Simple continued fractions for rationals in [0, 1].
 
 A terminating expansion [n0, n1, ..., nk] denotes n0 + 1/(n1 + 1/(... + 1/nk)).
 The canonical form has nk >= 2 whenever the list is longer than one entry;
@@ -7,31 +6,17 @@ The canonical form has nk >= 2 whenever the list is longer than one entry;
 of a center n/N is literally its expansion's interior: n/N = [0, q1, ..., qk, T],
 and the two neighbors of n/N in F_N are the evaluations of [0, q1, ..., qk]
 and [0, q1, ..., qk, T - 1], assigned to the left/right slots by the parity
-of k.  The last of those forms may legitimately end in 1, so evaluation
-accepts non-canonical input.
+of k (``triples.triple_via_cf``).  The last of those forms may legitimately
+end in 1, so evaluation accepts non-canonical input.
 
-Expanding needs only Euclid's quotients (``fraction._euclid``); `farey.triples`
-loads on the first use of a name in ``_LAZY``.
+Expanding needs only Euclid's quotients (``fraction._euclid``) and evaluating
+only the convergent recurrence (``fraction._convergents``), so this module
+loads no other construction.
 """
 
-import sys
-
-from . import _load
 from .errors import DomainError, _shown
-from .fraction import Fraction, _chain_of, _euclid
+from .fraction import Fraction, _convergents, _euclid
 from .record import Record, _new
-
-# Names served from farey.triples on their first lookup as attributes of this
-# module (see __getattr__), then plain globals; only triple_via_cf needs them.
-_LAZY = {"FareyTriple": "triples", "ReductionChain": "triples", "_checked": "triples"}
-
-
-def __getattr__(name):
-    return _load(globals(), _LAZY, name)
-
-
-# This module as an object: a bare global lookup does not consult __getattr__.
-_cf = sys.modules[__name__]
 
 
 class ContinuedFraction(Record):
@@ -89,14 +74,6 @@ def cf_expand(x: Fraction) -> ContinuedFraction:
     return ContinuedFraction((0, *quotients, terminal))
 
 
-def _convergents(n0: int, coeffs: list[int] | tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(p_(k-1), p_k, q_(k-1), q_k) of [n0, *coeffs]: p_i = n_i*p_(i-1) + p_(i-2), same for q."""
-    p_prev, p, q_prev, q = 1, n0, 0, 1
-    for c in coeffs:
-        p_prev, p, q_prev, q = p, c * p + p_prev, q, c * q + q_prev
-    return p_prev, p, q_prev, q
-
-
 def cf_evaluate(cf: ContinuedFraction) -> Fraction:
     """The exact rational value of an expansion, canonical or not.
 
@@ -120,28 +97,3 @@ def cf_of_chain(chain: "ReductionChain") -> ContinuedFraction:
     Evaluates back to the chain's start; equal to cf_expand(chain.start).
     """
     return ContinuedFraction((0,) + chain.quotients + (chain.terminal,))
-
-
-def triple_via_cf(center: Fraction) -> "FareyTriple":
-    """The triple around ``center`` in F_(center.den), built from expansions.
-
-    With center = [0, q1, ..., qk, T], the neighbors evaluate
-    [0, q1, ..., qk] and [0, q1, ..., qk, T - 1]; an even k puts the first
-    of these on the left, an odd k on the right.  The T - 1 form may end in
-    a 1 (whenever T == 2) and is evaluated as-is.
-
-    One pass of the convergent recurrence over the quotients gives p_k/q_k
-    (the truncated form) and p_(k-1)/q_(k-1); the lowered form is the next
-    convergent, ((T-1)*p_k + p_(k-1)) / ((T-1)*q_k + q_(k-1)).  Consecutive
-    convergents are coprime, so neither value needs reducing.
-    """
-    quotients, terminal = _chain_of(center)
-    p_prev, p, q_prev, q = _convergents(0, quotients)
-    truncated = Fraction._from_coprime(p, q)
-    t = terminal - 1
-    lowered = Fraction._from_coprime(t * p + p_prev, t * q + q_prev)
-    if len(quotients) % 2 == 0:
-        left, right = truncated, lowered
-    else:
-        left, right = lowered, truncated
-    return _cf._checked(_cf.FareyTriple, left, center, right, center.den)

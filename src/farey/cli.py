@@ -42,8 +42,9 @@ MAX_CAP = 10 * DEFAULT_CAP
 MAX_REPS = 10**6
 
 # Names served from modules that only some commands need, each with its module;
-# farey.triples serves triple and chain but not next, prev or cf (which expands
-# with fraction._euclid), farey.bulk holds list, verify and bench, farey.usage the
+# farey.triples serves triple (every --method but oracle) and chain but not
+# next, prev or cf, farey.cf only the cf command (which expands with
+# fraction._euclid), farey.bulk holds list, verify and bench, farey.usage the
 # help, usage errors and diagnostics.  A name loads on its first lookup as
 # an attribute of this module (see __getattr__) and then stays a plain
 # global, so patching farey.cli.<name> reaches every command that calls it.
@@ -52,8 +53,8 @@ _LAZY = {
     "_chain_triple": "triples",
     "_check_range": "triples",
     "reduction_chain": "triples",
+    "triple_via_cf": "triples",
     "cf_expand": "cf",
-    "triple_via_cf": "cf",
     "left_neighbor": "neighbors",
     "right_neighbor": "neighbors",
     "_farey_walk": "oracle",

@@ -5,7 +5,8 @@ Python's unbounded integers keep all products exact, so there is no overflow
 path to guard; results are either correct or a precondition error.
 
 It also holds the plain-int kernels that every query loads with it:
-``_base_successor`` (the base neighbor) and ``_euclid``/``_chain_of`` (the quotient chain).
+``_base_successor`` (the base neighbor), ``_euclid``/``_chain_of`` (the quotient
+chain) and ``_convergents`` (the continued-fraction recurrence).
 """
 
 from math import gcd
@@ -78,12 +79,6 @@ class Fraction:
     def __le__(self, other):
         return self.num * other.den <= other.num * self.den
 
-    def __gt__(self, other):
-        return self.num * other.den > other.num * self.den
-
-    def __ge__(self, other):
-        return self.num * other.den >= other.num * self.den
-
     def __hash__(self):
         return hash((self.num, self.den))
 
@@ -124,6 +119,14 @@ def _chain_of(center: Fraction) -> tuple[list[int], int]:
     if center.num == 0 or center.num == center.den:
         raise DomainError(f"center must satisfy 0 < {_frac(center)} < 1")
     return _euclid(center.num, center.den)
+
+
+def _convergents(n0: int, coeffs: list[int] | tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(p_(k-1), p_k, q_(k-1), q_k) of [n0, *coeffs]: p_i = n_i*p_(i-1) + p_(i-2), same for q."""
+    p_prev, p, q_prev, q = 1, n0, 0, 1
+    for c in coeffs:
+        p_prev, p, q_prev, q = p, c * p + p_prev, q, c * q + q_prev
+    return p_prev, p, q_prev, q
 
 
 def cross_det(x: Fraction, y: Fraction) -> int:

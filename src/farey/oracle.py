@@ -13,7 +13,6 @@ from collections.abc import Iterable, Iterator
 from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _reducible, _shown
 from .fraction import Fraction
 from .record import Record, _new
-from .triples import FareyTriple, _check_range
 
 
 class FareySequence(Record):
@@ -199,13 +198,16 @@ def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) ->
     report.pairs, report.mediants, report.centers = i, i - 1, centers
 
 
-def triple_by_scan(n: int, order: int, cap: int | None = DEFAULT_CAP) -> FareyTriple:
+def triple_by_scan(n: int, order: int, cap: int | None = DEFAULT_CAP) -> "FareyTriple":
     """Walk F_order up to n/order and read off the triple around it.
 
     Quadratic in ``order``; exists as the ground truth the O(log) paths are
     compared against.  The cap applies to the whole of F_order.  The first
     term at or past n/order has denominator ``order`` only if n/order is reduced.
     """
+    # Imported here, so that list, which builds no triple, never loads farey.triples.
+    from .triples import FareyTriple, _check_range
+
     terms = _farey_walk(order, cap)
     _check_range(n, order)
     left = None

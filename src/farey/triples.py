@@ -29,7 +29,12 @@ to a valid triple of F_(q*b2 + a2), so validity is preserved all the way
 up and the final center is exactly the requested n/N.
 
 ``_chain_triple`` runs steps 1-3, and ``lift_chain`` steps 2-3, on plain
-ints.  Every route builds one validated ``FareyTriple`` at the end.  That
+ints.  The paper's second construction, ``triple_via_cf``, reads the same
+triple off the continued fraction [0, q1, ..., qk, T] of the center: its
+neighbors are the convergents [0, q1, ..., qk] and [0, q1, ..., qk, T - 1]
+(``fraction._convergents``, which `farey.cf` shares to evaluate expansions).
+
+Each of the three routes builds one validated ``FareyTriple`` at the end.  That
 single check certifies the whole answer: two unimodular pairs around n/N
 with outer denominators below N single out the neighbors of n/N in F_N, so
 nothing is lost by skipping the intermediate triples.  ``lift_step`` and
@@ -37,7 +42,7 @@ nothing is lost by skipping the intermediate triples.  ``lift_step`` and
 """
 
 from .errors import DomainError, _frac, _reducible, _shown
-from .fraction import Fraction, _base_successor, _chain_of, _coprime, _euclid
+from .fraction import Fraction, _base_successor, _chain_of, _convergents, _coprime, _euclid
 from .record import Record, _new
 
 
@@ -184,6 +189,31 @@ def _chain_triple(n: int, order: int) -> FareyTriple:
     _check_range(n, order)
     a, b, c, d = _lift(*_euclid(n, order))
     return _checked(FareyTriple, _coprime(a, b), _coprime(n, order), _coprime(c, d), order)
+
+
+def triple_via_cf(center: Fraction) -> FareyTriple:
+    """The triple around ``center`` in F_(center.den), built from expansions.
+
+    With center = [0, q1, ..., qk, T], the neighbors evaluate
+    [0, q1, ..., qk] and [0, q1, ..., qk, T - 1]; an even k puts the first
+    of these on the left, an odd k on the right.  The T - 1 form may end in
+    a 1 (whenever T == 2) and is evaluated as-is.
+
+    One pass of the convergent recurrence over the quotients gives p_k/q_k
+    (the truncated form) and p_(k-1)/q_(k-1); the lowered form is the next
+    convergent, ((T-1)*p_k + p_(k-1)) / ((T-1)*q_k + q_(k-1)).  Consecutive
+    convergents are coprime, so neither value needs reducing.
+    """
+    quotients, terminal = _chain_of(center)
+    p_prev, p, q_prev, q = _convergents(0, quotients)
+    truncated = _coprime(p, q)
+    t = terminal - 1
+    lowered = _coprime(t * p + p_prev, t * q + q_prev)
+    if len(quotients) % 2 == 0:
+        left, right = truncated, lowered
+    else:
+        left, right = lowered, truncated
+    return _checked(FareyTriple, left, center, right, center.den)
 
 
 def triple(n: int, order: int) -> FareyTriple:

@@ -517,14 +517,14 @@ class TestBench:
         assert methods == {"inverse", "chain", "cf", "oracle"}
 
     def test_each_route_is_loaded_before_its_first_sample(self):
-        # cli.triple_via_cf imports farey.cf on its first lookup, which must
+        # cli.triple imports farey.triples on its first lookup, which must
         # not land in a timed sample; a fresh interpreter has not loaded it.
         probe = (
             "import sys\n"
             "from farey import bulk\n"
             "seen, real = [], bulk._time_ns\n"
             "def spy(fn, calls=1):\n"
-            "    seen.append('farey.cf' in sys.modules)\n"
+            "    seen.append('farey.triples' in sys.modules)\n"
             "    return real(fn, calls)\n"
             "bulk._time_ns = spy\n"
             "bulk._bench_order(39, 2, 10**7)\n"
@@ -539,7 +539,7 @@ class TestBench:
         )
         assert proc.returncode == 0, proc.stderr
         # Two samples per route, in the order inverse, chain, cf, oracle.
-        assert proc.stdout == "[False, False, False, False, True, True, True, True]\n"
+        assert proc.stdout == "[True, True, True, True, True, True, True, True]\n"
 
     @pytest.mark.parametrize(
         "times, median", [([5, 1, 4, 2], 2), ([3, 9, 1], 3), ([7], 7), ([2, 2, 8, 1, 9, 4], 2)]
@@ -1430,6 +1430,7 @@ class TestImportsOnDemand:
             pytest.param(argv, loaded, id=" ".join(argv))
             for argv, loaded in (
                 (["triple", "5", "39"], ("farey.triples",)),
+                (["triple", "9", "25", "--method", "cf"], ("farey.triples",)),
                 (["chain", "5/39"], ("farey.triples",)),
                 # The neighbor queries share the inverse kernel in
                 # farey.fraction, so they never compile farey.triples.
@@ -1437,9 +1438,11 @@ class TestImportsOnDemand:
                 (["prev", "9/25", "25"], ("farey.neighbors",)),
                 # The expansion needs only fraction._euclid.
                 (["cf", "9/25"], ("farey.cf",)),
+                # The walk builds no triple, so list never compiles farey.triples.
+                (["list", "5"], ("farey.bulk", "farey.oracle")),
                 (
                     ["verify", "12"],
-                    ("farey.bulk", "farey.oracle", "farey.neighbors", "farey.cf", "farey.triples"),
+                    ("farey.bulk", "farey.oracle", "farey.neighbors", "farey.triples"),
                 ),
             )
         ],
@@ -1467,21 +1470,22 @@ class TestImportsOnDemand:
         assert proc.returncode == 0, proc.stderr
         assert "__future__" not in proc.stderr.split()
 
-    def test_triple_via_cf_loads_triples_on_its_first_call(self):
+    def test_expansions_load_no_triples(self):
         probe = (
             "import sys\n"
-            "from farey.cf import triple_via_cf\n"
+            "import farey.cf as cf\n"
             "from farey.fraction import Fraction\n"
+            "x = cf.cf_expand(Fraction(5, 39))\n"
+            "print(x, cf.cf_evaluate(x), cf.cf_canonicalize(cf.ContinuedFraction((0, 7, 1, 3, 1))))\n"
             "print('farey.triples' in sys.modules)\n"
-            "t = triple_via_cf(Fraction(5, 39))\n"
+            "import farey.triples as triples\n"
+            "t = triples.triple_via_cf(Fraction(5, 39))\n"
             "print(t.left, t.center, t.right, t.order)\n"
-            "import farey.cf as cf, farey.triples as triples\n"
-            "print(cf.FareyTriple is triples.FareyTriple, cf.ReductionChain is triples.ReductionChain)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), check=True
         )
-        assert proc.stdout == "False\n1/8 5/39 4/31 39\nTrue True\n"
+        assert proc.stdout == "[0,7,1,4] 5/39 [0,7,1,4]\nFalse\n1/8 5/39 4/31 39\n"
 
     def test_a_usage_error_loads_argparse_for_its_message(self):
         proc = _probe_modules(["triple", "5"])

@@ -99,6 +99,7 @@ class TestOrderingAndHash:
             exact_b = fractions.Fraction(b.num, b.den)
             assert (a < b) == (exact_a < exact_b)
             assert (a <= b) == (exact_a <= exact_b)
+            assert (a > b) == (exact_a > exact_b)
             assert (a >= b) == (exact_a >= exact_b)
             assert (a == b) == (exact_a == exact_b)
 
