@@ -115,6 +115,25 @@ else
     echo "E2E FAIL: the oracle refuses 6/10; got: ${err:0:200}"
 fi
 
+# A max order past the first order over the cap is refused before any order
+# is walked, with the line the walk would give at that order, on both paths.
+want="error: F_5736 exceeds the cap of 10000000 terms"
+bad=""
+err_file="$(mktemp)"
+for jobs in 1 2; do
+    out="$(env -u FAREY_CAP timeout 10 farey verify 10^100 --jobs "$jobs" 2>"$err_file")"
+    code=$?
+    err="$(cat "$err_file")"
+    [[ $code == 2 && -z "$out" && "$err" == "$want" ]] || bad+=" --jobs $jobs: exit $code, '${out:0:100}', '${err:0:200}';"
+done
+rm -f "$err_file"
+if [[ -z "$bad" ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: verify 10^100 refuses at once;$bad"
+fi
+
 # Help, usage errors and write failures run the code a plain query never loads.
 out="$(env -u FAREY_CAP farey --help 2>/dev/null)"
 if [[ $? == 0 && "${out%%$'\n'*}" == "usage: farey [-h] [--json] [--cap TERMS] command ..." ]]; then

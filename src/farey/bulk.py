@@ -131,10 +131,35 @@ def _verify_results(orders: range, cap: int, jobs: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _first_order_over(cap: int) -> int:
+    """The least order n >= 2 with |F_n| > cap.  Since |F_n| <= 1 + n(n + 1)/2,
+    the search starts at the largest n that bound keeps within cap, doubles
+    past the answer, then bisects on the exact length."""
+    # lo stays below the answer: |F_lo| <= cap, or lo = 1.
+    lo = max(1, (math.isqrt(8 * cap - 7) - 1) // 2)
+    hi = 2 * lo
+    while _farey_length(hi) <= cap:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _farey_length(mid) > cap:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def cmd_verify(args) -> int:
     cap = cli._resolve_cap(args)
     cli._bounded(args.max_order, "max order", 2)
     cli._bounded(args.jobs, "jobs", 1)
+    # A max order at or past the first order over the cap can only end in
+    # that order's refusal, so it is raised before any order is walked.  The
+    # search takes milliseconds, so a max order whose bound fits skips it.
+    if 1 + args.max_order * (args.max_order + 1) // 2 > cap:
+        first = _first_order_over(cap)
+        if args.max_order >= first:
+            cli._farey_walk(first, cap)
     orders = range(2, args.max_order + 1)
     # More workers than CPUs or orders would only add processes.  (len() of
     # the range would overflow for a huge max order.)

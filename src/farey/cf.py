@@ -91,8 +91,8 @@ def cf_canonicalize(cf: ContinuedFraction) -> ContinuedFraction:
     return ContinuedFraction(coeffs)
 
 
-def cf_of_chain(chain: "ReductionChain") -> ContinuedFraction:
-    """[0, q1, ..., qk, terminal]: the chain read as an expansion.
+def cf_of_chain(chain) -> ContinuedFraction:
+    """[0, q1, ..., qk, terminal]: the ReductionChain ``chain`` read as an expansion.
 
     Evaluates back to the chain's start; equal to cf_expand(chain.start).
     """

@@ -25,7 +25,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import _load
+from . import _SOURCE, _load
 from .errors import DEFAULT_CAP, CapExceededError, DomainError
 from .fraction import Fraction
 
@@ -41,24 +41,20 @@ MAX_CAP = 10 * DEFAULT_CAP
 # The most queries `farey bench` makes per cell.
 MAX_REPS = 10**6
 
-# Names served from modules that only some commands need, each with its module;
-# farey.triples serves triple (every --method but oracle) and chain but not
-# next, prev or cf, farey.cf only the cf command (which expands with
-# fraction._euclid), farey.bulk holds list, verify and bench, farey.usage the
-# help, usage errors and diagnostics.  A name loads on its first lookup as
-# an attribute of this module (see __getattr__) and then stays a plain
-# global, so patching farey.cli.<name> reaches every command that calls it.
+# Names served from modules that only some commands need, each with its module:
+# every public name, from the package's one table of them, then the private
+# names the commands use.  farey.triples serves triple (every --method but
+# oracle) and chain but not next, prev or cf, farey.cf only the cf command
+# (which expands with fraction._euclid), farey.bulk holds list, verify and
+# bench, farey.usage the help, usage errors and diagnostics.  A name loads on
+# its first lookup as an attribute of this module (see __getattr__) and then
+# stays a plain global, so patching farey.cli.<name> reaches every command
+# that calls it.
 _LAZY = {
-    "triple": "triples",
+    **_SOURCE,
     "_chain_triple": "triples",
     "_check_range": "triples",
-    "reduction_chain": "triples",
-    "triple_via_cf": "triples",
-    "cf_expand": "cf",
-    "left_neighbor": "neighbors",
-    "right_neighbor": "neighbors",
     "_farey_walk": "oracle",
-    "triple_by_scan": "oracle",
     "cmd_list": "bulk",
     "cmd_verify": "bulk",
     "cmd_bench": "bulk",

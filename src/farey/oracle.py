@@ -8,8 +8,6 @@ Only `enumerate_farey` keeps the terms; the rest walk them once, after the
 cap is checked against the exact length |F_N|.
 """
 
-from collections.abc import Iterable, Iterator
-
 from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _reducible, _shown
 from .fraction import Fraction
 from .record import Record, _new
@@ -37,7 +35,7 @@ class FareySequence(Record):
         return self.terms[i]
 
 
-def iterate_farey(order: int) -> Iterator[Fraction]:
+def iterate_farey(order: int):
     """Yield the terms of F_order in increasing order, one at a time; the
     order is checked at the call."""
     if order < 1:
@@ -45,7 +43,7 @@ def iterate_farey(order: int) -> Iterator[Fraction]:
     return _recurrence(order)
 
 
-def _recurrence(order: int) -> Iterator[Fraction]:
+def _recurrence(order: int):
     make = Fraction._from_coprime
     a, b, c, d = 0, 1, 1, order
     yield make(0, 1)
@@ -76,7 +74,7 @@ def _farey_length(order: int) -> int:
     return 1 + phi_sum(order)
 
 
-def _farey_walk(order: int, cap: int | None) -> Iterator[Fraction]:
+def _farey_walk(order: int, cap: int | None):
     """iterate_farey(order), once F_order is known to fit in ``cap`` terms
     (None: no cap).  |F_order| >= order + 1 refuses huge orders at once; the
     exact length settles the rest when 1 + order(order + 1)/2 is above cap."""
@@ -162,7 +160,7 @@ def verify_properties(seq: FareySequence) -> PropertyReport:
     return report
 
 
-def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) -> Iterator:
+def _certified(order: int, terms, report: PropertyReport):
     """Yield the first of ``terms`` once it is 0/1, then each next one once
     its pair passes the checks of verify_properties.  The first failure ends
     the walk in ``report``; a clean walk writes the counts there instead."""
@@ -198,8 +196,8 @@ def _certified(order: int, terms: Iterable[Fraction], report: PropertyReport) ->
     report.pairs, report.mediants, report.centers = i, i - 1, centers
 
 
-def triple_by_scan(n: int, order: int, cap: int | None = DEFAULT_CAP) -> "FareyTriple":
-    """Walk F_order up to n/order and read off the triple around it.
+def triple_by_scan(n: int, order: int, cap: int | None = DEFAULT_CAP):
+    """Walk F_order up to n/order and read off the FareyTriple around it.
 
     Quadratic in ``order``; exists as the ground truth the O(log) paths are
     compared against.  The cap applies to the whole of F_order.  The first

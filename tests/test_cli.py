@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import farey
 import farey.bulk as bulk
 import farey.cli as cli
 from farey import Fraction, enumerate_farey, iterate_farey, left_neighbor, right_neighbor
@@ -964,6 +965,57 @@ class TestExitCodesAndCap:
         assert "cap of 60" in err
         assert InlinePool.submitted < 20
 
+    def test_first_order_over_the_cap_is_a_linear_scan(self):
+        # The least order n >= 2 with |F_n| > cap never falls as the cap grows.
+        first = 2
+        for cap in range(1, 501):
+            while bulk._farey_length(first) <= cap:
+                first += 1
+            assert bulk._first_order_over(cap) == first, cap
+        assert [bulk._first_order_over(cap) for cap in (1, 2, 25, 60, 400)] == [2, 2, 9, 14, 37]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_past_the_cap_refuses_before_any_order(self, capsys, monkeypatch, jobs):
+        def unreachable(order, cap):
+            raise AssertionError(f"walked order {order}")
+
+        monkeypatch.setattr(bulk, "_verify_order", unreachable)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(InlinePool, "submitted", 0)
+        code, out, err = run_cli(capsys, "verify", "10^100", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == "error: F_5736 exceeds the cap of 10000000 terms\n"
+        assert InlinePool.submitted == 0
+
+    @pytest.mark.parametrize("cap", [1, 2, 60, 400])
+    def test_verify_refuses_past_the_cap_with_the_line_the_walk_gives(self, capsys, monkeypatch, cap):
+        first = bulk._first_order_over(cap)
+        code, out, refused = run_cli(capsys, "--cap", str(cap), "verify", "10^6")
+        assert (code, out) == (2, "")
+        assert refused.startswith(f"error: F_{first} ")
+        # With the search out of reach, the walk itself gets to that order.
+        monkeypatch.setattr(bulk, "_first_order_over", lambda cap: 10**7)
+        code, out, walked = run_cli(capsys, "--cap", str(cap), "verify", "10^6")
+        assert (code, out, walked) == (2, "", refused)
+
+    @pytest.mark.parametrize("cap", [60, 400])
+    def test_verify_refuses_from_the_first_order_over_the_cap(self, capsys, monkeypatch, cap):
+        first = bulk._first_order_over(cap)
+        code, out, _ = run_cli(capsys, "--cap", str(cap), "verify", str(first - 1))
+        assert code == 0 and out.startswith(f"OK: {first - 2} orders")
+        monkeypatch.setattr(bulk, "_verify_order", lambda order, cap: pytest.fail(f"walked {order}"))
+        code, out, err = run_cli(capsys, "--cap", str(cap), "verify", str(first))
+        assert (code, out, err) == (2, "", f"error: F_{first} exceeds the cap of {cap} terms\n")
+
+    def test_verify_within_the_bound_skips_the_search(self, capsys, monkeypatch):
+        # 1 + 24 * 25 / 2 terms fit in the default cap, so no order can exceed it.
+        def unreachable(cap):
+            raise AssertionError("searched for the first order over the cap")
+
+        monkeypatch.setattr(bulk, "_first_order_over", unreachable)
+        assert run_cli(capsys, "verify", "24")[0] == 0
+
     def test_a_worker_that_dies_is_one_error_line(self, capsys, monkeypatch):
         shutdowns = []
 
@@ -1362,7 +1414,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 36 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 37 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
@@ -1410,10 +1462,10 @@ _ON_DEMAND = (
 )
 
 
-def _probe_modules(argv):
-    """Run _MODULES_PROBE on ``argv`` in a child interpreter."""
+def _probe_modules(argv, *options):
+    """Run _MODULES_PROBE on ``argv`` in a child interpreter started with ``options``."""
     return subprocess.run(
-        [sys.executable, "-c", _MODULES_PROBE, *argv],
+        [sys.executable, *options, "-c", _MODULES_PROBE, *argv],
         capture_output=True,
         text=True,
         env=_src_env(),
@@ -1469,6 +1521,22 @@ class TestImportsOnDemand:
         proc = _probe_modules(argv)
         assert proc.returncode == 0, proc.stderr
         assert "__future__" not in proc.stderr.split()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["list", "5"], ["verify", "12"], ["triple", "9", "25", "--method", "oracle"]],
+        ids=" ".join,
+    )
+    def test_a_walk_loads_no_collections_abc(self, argv):
+        # -S: the site set-up of some installs loads collections.abc itself.
+        proc = _probe_modules(argv, "-S")
+        assert proc.returncode == 0, proc.stderr
+        assert "farey.oracle" in proc.stderr.split()
+        assert "collections.abc" not in proc.stderr.split()
+
+    def test_each_public_name_cli_serves_is_the_packages(self):
+        for name in farey.__all__:
+            assert getattr(cli, name) is getattr(farey, name), name
 
     def test_expansions_load_no_triples(self):
         probe = (

@@ -3,6 +3,7 @@
 import importlib
 import re
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,17 @@ def test_every_public_name_is_the_object_its_submodule_defines():
         home = getattr(value, "__module__", "farey.errors")
         assert home.startswith("farey."), name
         assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_every_public_annotation_resolves():
+    for name in farey.__all__:
+        value = getattr(farey, name)
+        if isinstance(value, type):
+            typing.get_type_hints(value)
+            typing.get_type_hints(value.__new__)
+            typing.get_type_hints(value.__init__)
+        elif callable(value):
+            typing.get_type_hints(value)
 
 
 def test_a_resolved_name_stays_bound_in_the_package():
