@@ -42,7 +42,6 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("query-1e12", "query-1e100", "verify-sweep", "cli-oneshot")
 SIDES = ("parent", "change")
 
 
@@ -59,11 +58,12 @@ def _extract(rev: str, into: Path) -> str:
     return commit
 
 
-def _spec() -> tuple[dict[str, str], int]:
-    """BENCHMARK.json's direction for each end-to-end metric, and its run
-    length in seconds."""
+def _spec() -> tuple[dict[str, str], int, tuple[str, ...]]:
+    """BENCHMARK.json's direction for each end-to-end metric, its run length
+    in seconds, and its workload names in order."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {row["name"]: row["better"] for row in spec["end_to_end"]}, spec["run_seconds"]
+    declared = {row["name"]: row["better"] for row in spec["end_to_end"]}
+    return declared, spec["run_seconds"], tuple(row["name"] for row in spec["workloads"])
 
 
 def _direction(name: str, unit: str, declared: dict[str, str]) -> str | None:
@@ -154,13 +154,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="where a gain is claimed")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    workloads = WORKLOADS if args.workloads == "all" else tuple(args.workloads.split(","))
-    unknown = sorted(set(workloads) - set(WORKLOADS))
+    declared, seconds, known = _spec()
+    workloads = known if args.workloads == "all" else tuple(args.workloads.split(","))
+    unknown = sorted(set(workloads) - set(known))
     if unknown or args.pairs < 1:
         parser.error(f"unknown workloads {unknown}" if unknown else "--pairs must be >= 1")
     if args.claim and (":" not in args.claim or args.claim.split(":")[0] not in workloads):
         parser.error("--claim must be WORKLOAD:METRIC with a workload that runs")
-    declared, seconds = _spec()
 
     seeds = [args.seed_base + i for i in range(1, args.pairs + 1)]
     results = {w: {side: [] for side in SIDES} for w in workloads}

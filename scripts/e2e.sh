@@ -115,6 +115,20 @@ else
     echo "E2E FAIL: the oracle refuses 6/10; got: ${err:0:200}"
 fi
 
+# bench names why an order in its list did not parse, as list does.
+err_file="$(mktemp)"
+out="$(env -u FAREY_CAP farey bench 10^5000 2>"$err_file")"
+code=$?
+err="$(cat "$err_file")"
+rm -f "$err_file"
+want="error: cannot parse order list from '10^5000': integer '10^5000' has more than 4300 digits"
+if [[ $code == 1 && -z "$out" && "$err" == "$want" ]]; then
+    pass=$((pass + 1))
+else
+    fail=$((fail + 1))
+    echo "E2E FAIL: bench names the digit limit; got: exit $code, '${out:0:100}', '${err:0:200}'"
+fi
+
 # A max order past the first order over the cap is refused before any order
 # is walked, with the line the walk would give at that order, on both paths.
 want="error: F_5736 exceeds the cap of 10000000 terms"

@@ -274,8 +274,8 @@ def cmd_bench(args) -> int:
     cap = cli._resolve_cap(args)
     try:
         orders = [cli._parse_count(token) for token in args.orders.split(",")]
-    except DomainError:
-        raise DomainError(f"cannot parse order list from {args.orders!r}") from None
+    except DomainError as exc:
+        raise DomainError(f"cannot parse order list from {args.orders!r}: {exc}") from None
     cli._bounded(len(orders), "number of orders", 1, _MAX_ORDERS)
     for order in orders:
         cli._bounded(order, "order", 2)

@@ -15,8 +15,7 @@ loads no other construction.
 """
 
 from .errors import DomainError, _shown
-from .fraction import Fraction, _convergents, _euclid
-from .record import Record, _new
+from .fraction import Fraction, Record, _convergents, _euclid, _new
 
 
 class ContinuedFraction(Record):

@@ -21,15 +21,15 @@ A ``NeighborResult`` stores the query, the order and the answer only: as
 1 <= d <= b, the answer fixes l = (answer.den - 1) // b and base = answer -
 l*query, so ``steps`` and ``base`` are derived on access.  Both queries fill
 their record through ``_checked``, the check the public constructor runs (see
-``record``), and hold the answer to its side: determinant +1 with the query
-for a successor, -1 for a predecessor, so an inverse of the wrong sign is
-refused there.  The constructor accepts either side, and refuses a ``steps``
-or ``base`` other than the derived ones.
+``fraction.Record``), and hold the answer to its side: determinant +1 with the
+query for a successor, -1 for a predecessor, so an inverse of the wrong sign
+is refused there.  The constructor requires the determinant of the side the
+answer lies on, so it accepts a successor or a predecessor, and refuses a
+``steps`` or ``base`` other than the derived ones.
 """
 
 from .errors import DomainError, _frac, _shown
-from .fraction import Fraction, _base_successor, _coprime
-from .record import Record, _new
+from .fraction import Fraction, Record, _base_successor, _coprime, _new
 
 
 class NeighborResult(Record, derived=("steps", "base")):
@@ -43,7 +43,7 @@ class NeighborResult(Record, derived=("steps", "base")):
     __slots__ = ("query", "order", "neighbor")
 
     def __new__(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction):
-        self = _checked(cls, query, order, neighbor, 0)
+        self = _checked(cls, query, order, neighbor, 1 if query < neighbor else -1)
         if steps != self.steps:
             raise DomainError(f"step count must be {_shown(self.steps)}, got {_shown(steps)}")
         if base != self.base:
@@ -62,16 +62,17 @@ class NeighborResult(Record, derived=("steps", "base")):
 
 def _checked(cls, query: Fraction, order: int, neighbor: Fraction, side: int):
     """Check an answer and return it as a ``cls`` record, filled through its draft.
-    ``side`` is the det(query, neighbor) required: 1 successor, -1 predecessor, 0 either."""
+    ``side`` is the det(query, neighbor) required: 1 successor, -1 predecessor."""
     if order < query.den:
         member = f"a member of the sequence of order {_shown(order)}"
         raise DomainError(f"{_frac(query)} is not {member}")
     det = neighbor.num * query.den - query.num * neighbor.den
-    if det != 1 and det != -1:
-        raise DomainError(f"{_frac(query)} and {_frac(neighbor)} are not unimodular")
-    if side and det != side:
+    if det != side:
         which = "successor" if side == 1 else "predecessor"
-        raise DomainError(f"{_frac(neighbor)} is not the {which} of {_frac(query)}")
+        raise DomainError(
+            f"{_frac(neighbor)} is not the {which} of {_frac(query)}: "
+            f"their determinant is {_shown(det)}, not {side}"
+        )
     if neighbor.den > order:
         raise DomainError(f"{_frac(neighbor)} lies outside a sequence of order {_shown(order)}")
     if query.den + neighbor.den <= order:

@@ -9,8 +9,7 @@ cap is checked against the exact length |F_N|.
 """
 
 from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _reducible, _shown
-from .fraction import Fraction
-from .record import Record, _new
+from .fraction import Fraction, Record, _new
 
 
 class FareySequence(Record):

@@ -42,8 +42,7 @@ nothing is lost by skipping the intermediate triples.  ``lift_step`` and
 """
 
 from .errors import DomainError, _frac, _reducible, _shown
-from .fraction import Fraction, _base_successor, _chain_of, _convergents, _coprime, _euclid
-from .record import Record, _new
+from .fraction import Fraction, Record, _base_successor, _chain_of, _convergents, _coprime, _euclid, _new
 
 
 class FareyTriple(Record):

@@ -1,6 +1,7 @@
 """Tests for the statistics of scripts/ab.py, the paired benchmark runner."""
 
 import importlib.util
+import json
 from decimal import Decimal
 from pathlib import Path
 
@@ -58,3 +59,13 @@ def test_claim_rule(parent, change, better, failed, met):
 def test_claim_on_a_count_is_refused():
     with pytest.raises(SystemExit):
         ab._claim(_section((1,) * 4, (1,) * 4, None), "w", "m")
+
+
+def test_workloads_are_the_ones_benchmark_json_declares(tmp_path, monkeypatch):
+    spec = json.loads((ab.ROOT / "BENCHMARK.json").read_text())
+    assert ab._spec()[2] == tuple(row["name"] for row in spec["workloads"])
+    # A workload added there is run by --workloads all with no edit here.
+    spec["workloads"].append({"name": "new-workload", "why": "added"})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    assert ab._spec()[2][-1] == "new-workload"

@@ -687,10 +687,16 @@ class TestBench:
         assert asked == [cli._parse_count(order) for order in orders.split(",")]
 
     def test_rejects_bad_orders(self, capsys):
-        for orders in ("5,x", "", ","):
-            code, _, err = run_cli(capsys, "bench", orders)
-            assert code == 1
-            assert err == f"error: cannot parse order list from {orders!r}\n"
+        for orders, reason in (
+            ("5,x", "cannot parse integer from 'x'"),
+            ("", "cannot parse integer from ''"),
+            (",", "cannot parse integer from ''"),
+            ("10^5000", "integer '10^5000' has more than 4300 digits"),
+            ("2^14286", "integer '2^14286' has more than 4300 digits"),
+        ):
+            code, out, err = run_cli(capsys, "bench", orders)
+            assert (code, out) == (1, "")
+            assert err == f"error: cannot parse order list from {orders!r}: {reason}\n"
         code, _, err = run_cli(capsys, "bench", "1")
         assert code == 1
         assert "order must be >= 2" in err
@@ -1414,7 +1420,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 37 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 38 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
@@ -1505,6 +1511,23 @@ class TestImportsOnDemand:
         modules = set(proc.stderr.split())
         assert "farey.cli" in modules
         assert sorted(m for m in _ON_DEMAND if m in modules) == sorted(loaded)
+
+    def test_a_neighbor_query_loads_exactly_its_modules(self):
+        proc = _probe_modules(["next", "9/25", "100"])
+        assert proc.returncode == 0, proc.stderr
+        loaded = sorted(m for m in proc.stderr.split() if m.split(".")[0] == "farey")
+        assert loaded == ["farey", "farey.cli", "farey.errors", "farey.fraction", "farey.neighbors"]
+
+    def test_the_error_type_loads_errors_alone(self):
+        probe = (
+            "import sys\n"
+            "from farey import DomainError\n"
+            "print(sorted(m for m in sys.modules if m.startswith('farey.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), check=True
+        )
+        assert proc.stdout == "['farey.errors']\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,6 +2,7 @@
 
 import fractions
 import random
+from decimal import Decimal, localcontext
 from math import gcd
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from farey import DomainError, Fraction, cross_det, mediant
+from farey.fraction import _euclid
 from strats import adjacent_pairs, unit_fractions
 
 
@@ -176,3 +178,20 @@ class TestComplement:
     @given(unit_fractions())
     def test_involution(self, f):
         assert f.complement().complement() == f
+
+
+class TestChainLengthLaw:
+    # Porter's theorem (Knuth, TAOCP vol. 2, 4.5.3): over 1 <= n < p,
+    # Euclid's algorithm on p and n averages (12 ln 2/pi^2) ln p + C_P - 1
+    # divisions, up to O(p^(-1/6+eps)).  _euclid stops at numerator 1, one
+    # division before remainder 0, so its mean length is one less.
+    PI = Decimal("3.14159265358979323846264338328")
+    PORTER = Decimal("1.4670780794")
+
+    @pytest.mark.parametrize("p", [10_007, 100_003])
+    def test_mean_chain_length_at_a_prime(self, p):
+        total = sum(len(_euclid(n, p)[0]) for n in range(1, p))
+        with localcontext() as ctx:
+            ctx.prec = 28
+            law = 12 * Decimal(2).ln() / self.PI**2 * Decimal(p).ln() + self.PORTER - 2
+            assert abs(Decimal(total) / (p - 1) - law) < Decimal("0.005")

@@ -19,6 +19,7 @@ from farey import (
     triple_via_cf,
 )
 from farey import neighbors
+from farey.fraction import _base_successor
 from farey.triples import _chain_triple
 from helpers import are_adjacent, sweep
 from strats import coprime_pairs
@@ -37,6 +38,17 @@ class TestBaseRightNeighbor:
     def test_one_has_no_successor(self):
         with pytest.raises(DomainError):
             base_right_neighbor(Fraction(1, 1))
+
+    def test_kernel_at_zero(self):
+        # A reduced 0/b is 0/1; pow(0, -1, 1) == 0 gives d = 1 and c = 1.
+        assert _base_successor(0, 1) == (1, 1)
+
+    @pytest.mark.parametrize("order", [1, 7, 10**12])
+    def test_endpoints_step_to_their_nearest_terms(self, order):
+        r = right_neighbor(Fraction(0, 1), order)
+        assert (r.neighbor, r.steps, r.base) == (Fraction(1, order), order - 1, Fraction(1, 1))
+        r = left_neighbor(Fraction(1, 1), order)
+        assert (r.neighbor, r.steps, r.base) == (Fraction(order - 1, order), order - 1, Fraction(0, 1))
 
     def test_is_adjacent_at_own_order(self):
         x = Fraction(9, 25)
@@ -182,6 +194,35 @@ class TestResultType:
         x = Fraction(9, 25)
         for neighbor in (Fraction(4, 11), Fraction(5, 14)):
             assert NeighborResult(x, 25, neighbor, 0, neighbor).neighbor == neighbor
+
+    def test_accepts_what_the_two_earlier_determinant_checks_accept(self):
+        # The reference is the constructor's earlier rule, which tested
+        # det in (1, -1) and then, for the queries alone, the side.  Every
+        # pair of terms of F_8, at every order from 0 to 9, with steps and
+        # base as derived, gets the same verdict from both.
+        def earlier_checks(query, order, neighbor):
+            det = neighbor.num * query.den - query.num * neighbor.den
+            return (
+                order >= query.den
+                and det in (1, -1)
+                and neighbor.den <= order
+                and query.den + neighbor.den > order
+            )
+
+        terms = list(enumerate_farey(8).terms)
+        for order in range(10):
+            for query in terms:
+                for neighbor in terms:
+                    steps = (neighbor.den - 1) // query.den
+                    base = Fraction._from_coprime(
+                        neighbor.num - steps * query.num, neighbor.den - steps * query.den
+                    )
+                    try:
+                        NeighborResult(query, order, neighbor, steps, base)
+                        accepted = True
+                    except DomainError:
+                        accepted = False
+                    assert accepted == earlier_checks(query, order, neighbor)
 
     def test_refuses_steps_and_base_the_neighbor_does_not_fix(self):
         # 2/5 follows 1/3 at order 5 one rung above the base 1/2: (1*1 + 1)/(1*3 + 2).
