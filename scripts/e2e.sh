@@ -4,36 +4,53 @@
 # every exit code against golden expectations. Independent of pytest.
 # Without an installed `farey`, it runs the package in src/ through a
 # temporary `farey` shim: bash scripts/e2e.sh from a checkout.
+#
+# A check is one line: `check` pins a command's exit code and stdout,
+# `check_err` its exit code, an empty stdout and its stderr. Both compare
+# the whole text after trailing newlines are cut; `*` matches any text and
+# no other character is special. Checks that share a description count as
+# one, so a loop of them is one check.
 set -u
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 if ! command -v farey >/dev/null; then
     src="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
     export PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
-    shim="$(mktemp -d)"
-    trap 'rm -rf "$shim"' EXIT
-    printf '#!/bin/sh\nexec python3 -m farey "$@"\n' > "$shim/farey"
-    chmod +x "$shim/farey"
-    export PATH="$shim:$PATH"
+    printf '#!/bin/sh\nexec python3 -m farey "$@"\n' > "$tmp/farey"
+    chmod +x "$tmp/farey"
+    export PATH="$tmp:$PATH"
 fi
 
-pass=0
-fail=0
+declare -A seen=() failed=()
 
-check() {
-    local desc="$1" want_code="$2" want_out="$3"
-    shift 3
-    local out code
-    out="$(env -u FAREY_CAP "$@" 2>/dev/null)"
+# run CMD...: run CMD without FAREY_CAP; set cmd, code, out and err.
+run() {
+    cmd="$*"
+    out="$(env -u FAREY_CAP "$@" 2>"$tmp/err")"
     code=$?
-    if [[ "$code" == "$want_code" && "$out" == "$want_out" ]]; then
-        pass=$((pass + 1))
-    else
-        fail=$((fail + 1))
-        echo "E2E FAIL: $desc"
-        echo "  cmd:  $*"
-        echo "  want: exit $want_code, '$want_out'"
-        echo "  got:  exit $code, '$out'"
-    fi
+    err="$(<"$tmp/err")"
+}
+
+# verdict DESC WANT GOT: record whether GOT matches the pattern WANT.
+verdict() {
+    local pattern="${2//\[/\\[}"
+    seen[$1]=1
+    [[ $3 == ${pattern//\?/\\?} ]] && return
+    failed[$1]=1
+    printf 'E2E FAIL: %s\n  cmd:  %s\n  want: %s\n  got:  %s\n' "$1" "${cmd:0:200}" "$2" "${3:0:300}"
+}
+
+# check DESC CODE STDOUT CMD...
+check() {
+    run "${@:4}"
+    verdict "$1" "exit $2, stdout: $3" "exit $code, stdout: $out"
+}
+
+# check_err DESC CODE STDERR CMD...
+check_err() {
+    run "${@:4}"
+    verdict "$1" "exit $2, stdout: '', stderr: $3" "exit $code, stdout: '$out', stderr: $err"
 }
 
 check "list golden row"        0 "0/1 1/5 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 1/1" farey list 5
@@ -65,113 +82,46 @@ check "abbreviated flag"       0 "1/8 5/39 4/31"                farey triple 5 3
 check "flag=value"             0 "1/8 5/39 4/31"                farey triple 5 39 --method=cf
 check "abbreviated json flag"  0 '{"center":"5/39","left":"1/8","order":39,"right":"4/31"}' farey --js triple 5 39
 check "-- before a positional" 0 "1/8 5/39 4/31"                farey triple 5 -- 39
+check "bench at 10^12 skips oracle" 0 '*"oracle":"skipped"*'    farey bench 10^12 --reps 3 --json
 
-out="$(env -u FAREY_CAP farey bench 10^12 --reps 3 --json 2>/dev/null)"
-if [[ $? == 0 && "$out" == *'"oracle":"skipped"'* ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: bench at 10^12 skips oracle; got: $out"
-fi
-
+# Error lines cut a huge value, and a long line of short words as a whole.
 printf -v nines '%*s' 4000 ''
-err="$(env -u FAREY_CAP farey list "-${nines// /9}" 2>&1 >/dev/null)"
-if [[ $? == 1 && ${#err} -lt 200 ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: a huge order is cut in the error line; got ${#err} bytes: ${err:0:200}"
-fi
-
 printf -v words '%*s' 5000 ''
-err="$(env -u FAREY_CAP farey list 3 "${words// /a }" 2>&1 >/dev/null)"
-if [[ $? == 1 && ${#err} -lt 300 ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: a long line of short words is cut as a whole; got ${#err} bytes: ${err:0:200}"
-fi
+words="${words// /a }"
+check_err "a huge order is cut in the error line" 1 "error: order must be >= 1, got -999999999999999...9999999999999999" \
+    farey list "-${nines// /9}"
+check_err "a long line of short words is cut as a whole" 1 \
+    "usage error: unrecognized arguments: ${words:0:76}...${words: -60}" farey list 3 "$words"
 
-# One check: every route refuses a huge reducible center with one cut line.
-want="error: 6/10000000000000...0000000000000000 not irreducible"
-bad=""
+# Every route refuses a huge reducible center with one cut line, and the
+# oracle's walk refuses a reducible center with the same line.
 for method in inverse chain cf; do
-    err="$(env -u FAREY_CAP farey triple 6 10^100 --method "$method" 2>&1 >/dev/null)"
-    [[ $? == 1 && "$err" == "$want" ]] || bad+=" $method: ${err:0:200};"
+    check_err "a huge reducible center gets one error line on every route" 1 \
+        "error: 6/10000000000000...0000000000000000 not irreducible" farey triple 6 10^100 --method "$method"
 done
-if [[ -z "$bad" ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: a huge reducible center gets one error line on every route;$bad"
-fi
-
-# The oracle's walk refuses a reducible center with the same line.
-err="$(env -u FAREY_CAP farey triple 6 10 --method oracle 2>&1 >/dev/null)"
-if [[ $? == 1 && "$err" == "error: 6/10 not irreducible" ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: the oracle refuses 6/10; got: ${err:0:200}"
-fi
+check_err "the oracle refuses 6/10" 1 "error: 6/10 not irreducible" farey triple 6 10 --method oracle
 
 # bench names why an order in its list did not parse, as list does.
-err_file="$(mktemp)"
-out="$(env -u FAREY_CAP farey bench 10^5000 2>"$err_file")"
-code=$?
-err="$(cat "$err_file")"
-rm -f "$err_file"
-want="error: cannot parse order list from '10^5000': integer '10^5000' has more than 4300 digits"
-if [[ $code == 1 && -z "$out" && "$err" == "$want" ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: bench names the digit limit; got: exit $code, '${out:0:100}', '${err:0:200}'"
-fi
+check_err "bench names the digit limit" 1 \
+    "error: cannot parse order list from '10^5000': integer '10^5000' has more than 4300 digits" farey bench 10^5000
 
 # A max order past the first order over the cap is refused before any order
 # is walked, with the line the walk would give at that order, on both paths.
-want="error: F_5736 exceeds the cap of 10000000 terms"
-bad=""
-err_file="$(mktemp)"
 for jobs in 1 2; do
-    out="$(env -u FAREY_CAP timeout 10 farey verify 10^100 --jobs "$jobs" 2>"$err_file")"
-    code=$?
-    err="$(cat "$err_file")"
-    [[ $code == 2 && -z "$out" && "$err" == "$want" ]] || bad+=" --jobs $jobs: exit $code, '${out:0:100}', '${err:0:200}';"
+    check_err "verify 10^100 refuses at once" 2 "error: F_5736 exceeds the cap of 10000000 terms" \
+        timeout 10 farey verify 10^100 --jobs "$jobs"
 done
-rm -f "$err_file"
-if [[ -z "$bad" ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: verify 10^100 refuses at once;$bad"
-fi
 
 # Help, usage errors and write failures run the code a plain query never loads.
-out="$(env -u FAREY_CAP farey --help 2>/dev/null)"
-if [[ $? == 0 && "${out%%$'\n'*}" == "usage: farey [-h] [--json] [--cap TERMS] command ..." ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: --help prints the usage line; got: ${out:0:200}"
-fi
+check "--help prints the usage line" 0 $'usage: farey [-h] [--json] [--cap TERMS] command ...\n*' farey --help
+check_err "a missing argument is a usage error" 1 "usage error: the following arguments are required: order" \
+    farey triple 5
+check_err "a full stdout gets one error line" 1 "error: cannot write output: [Errno 28] No space left on device" \
+    sh -c 'farey triple 5 39 >/dev/full'
+check_err "--help to a closed stdout is an error" 1 "error: cannot write output: stdout is closed" sh -c 'farey --help >&-'
+check "a closed stderr keeps errors off stdout" 2 "" sh -c 'farey --json --cap 10 list 5 2>&-'
+check "a full stderr keeps the exit code"     2 ""  sh -c 'farey --cap 10 list 5 2>/dev/full'
+check_err "cli.py run as a script does nothing" 0 "" python3 -m farey.cli triple 5
 
-err="$(env -u FAREY_CAP farey triple 5 2>&1 >/dev/null)"
-if [[ $? == 1 && "$err" == "usage error: the following arguments are required: order" ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: a missing argument is a usage error; got: ${err:0:200}"
-fi
-
-err="$(env -u FAREY_CAP farey triple 5 39 2>&1 >/dev/full)"
-if [[ $? == 1 && "$err" == "error: cannot write output: "* && "$err" != *$'\n'* ]]; then
-    pass=$((pass + 1))
-else
-    fail=$((fail + 1))
-    echo "E2E FAIL: a full stdout gets one error line; got: ${err:0:200}"
-fi
-
-echo "e2e: $pass passed, $fail failed"
-[[ "$fail" == 0 ]]
+echo "e2e: $((${#seen[@]} - ${#failed[@]})) passed, ${#failed[@]} failed"
+[[ ${#failed[@]} == 0 ]]

@@ -6,10 +6,12 @@ contrasting direct query costs against brute-force enumeration.
 
 Exit codes are a stable contract for scripts: 0 success, 1 usage or domain
 error (or results that cannot be written), 2 enumeration cap exceeded,
-3 verification mismatch, 130 interrupted (SIGINT).  Results go to stdout,
-diagnostics to stderr; a reader that closes the pipe early ends the command
-quietly with 1.  Help, usage errors and diagnostics load on demand from
-`farey.usage`, which a query that parses and succeeds never loads.
+3 verification mismatch, 130 interrupted (SIGINT).  Results and --help text
+go to stdout through _emit alone; a closed stdout, or one a reader closes
+early (quietly), ends the command with 1.  Diagnostics go to stderr through
+`farey.usage._diagnose` alone, which drops a line stderr cannot take.  Help,
+usage errors and diagnostics load on demand from `farey.usage`, which a
+query that parses and succeeds never loads.
 
 With --json every command emits one canonical document: sorted keys, compact
 separators, and no floats anywhere (timings are integer nanoseconds, means
@@ -61,6 +63,7 @@ _LAZY = {
     "_bench_order": "bulk",
     "build_parser": "usage",
     "_report": "usage",
+    "_diagnose": "usage",
     "_detach_stdout": "usage",
 }
 
@@ -345,6 +348,9 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
 
 def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # With fd 1 closed, sys.stdout is None and print() drops every result.
+    if sys.stdout is None:
+        raise OutputError("stdout is closed")
     try:
         args = _plain(argv) or _cli.build_parser().parse_args(argv)
     except UsageError as exc:
@@ -353,9 +359,6 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         # --help has printed its text and asked to exit 0.
         return exc.code
-    # With fd 1 closed, sys.stdout is None and print() drops every result.
-    if sys.stdout is None:
-        raise OutputError("stdout is closed")
     try:
         return getattr(_cli, f"cmd_{args.command}")(args)
     except (DomainError, CapExceededError) as exc:
@@ -366,11 +369,10 @@ def _run(argv: list[str] | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
-        if sys.stdout is not None:
-            try:
-                sys.stdout.flush()
-            except OSError as exc:
-                raise OutputError(exc) from exc
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            raise OutputError(exc) from exc
     except OutputError as exc:
         _cli._detach_stdout()
         if not isinstance(exc.__cause__, BrokenPipeError):
@@ -378,10 +380,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except KeyboardInterrupt:
         # A --jobs pool has been shut down on the way out of cmd_verify.
-        print("interrupted", file=sys.stderr)
+        _cli._diagnose("interrupted")
         return EXIT_INTERRUPTED
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

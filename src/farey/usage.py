@@ -20,14 +20,10 @@ def build_parser():
         def error(self, message):
             raise cli.UsageError(message)
 
-        # argparse ignores a failed write, so --help would exit 0 having
-        # written nothing; its text is output like any result.
+        # Help text is output like any result.  argparse's own writer would
+        # ignore a failed write and fall back to stderr for a closed stdout.
         def _print_message(self, message, file=None):
-            if message:
-                try:
-                    (file or sys.stderr).write(message)
-                except OSError as exc:
-                    raise cli.OutputError(exc) from exc
+            cli._emit(message, end="")
 
     def token(parse):
         # An argparse type whose DomainError is the usage error argparse reports.
@@ -73,7 +69,18 @@ def _report(kind: str, message) -> None:
     text = re.sub(r"""(?<!\S)(['"])((?:\\.|(?!\1)[^\\])*)\1|\S{41,}""", cut, str(message))
     if len(text) > 200:
         text = f"{text[:100]}...{text[-60:]}"
-    print(f"{kind}: {text}", file=sys.stderr)
+    _diagnose(f"{kind}: {text}")
+
+
+def _diagnose(line: str) -> None:
+    """Write ``line`` to stderr, the one writer of diagnostics.  A line stderr
+    cannot take is dropped: with fd 2 closed (sys.stderr is None) it never
+    goes to stdout, and a failed write never changes the exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:
+            pass
 
 
 def _detach_stdout() -> None:

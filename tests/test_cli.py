@@ -1407,6 +1407,18 @@ class TestInstalledEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "31/86 (l=3)\n"
 
+    def test_python_dash_m_farey_cli_ends_without_a_traceback(self):
+        # Run as __main__, cli.py is a second copy of farey.cli; it must not
+        # try to serve the command with the first copy's error classes.
+        proc = subprocess.run(
+            [sys.executable, "-m", "farey.cli", "triple", "5"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+
     def test_e2e_script(self, farey_exe):
         # scripts/e2e.sh pins every command's bytes and exit code through
         # both entry points, the console script and `python3 -m farey`.
@@ -1420,7 +1432,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 38 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 42 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
@@ -1706,6 +1718,78 @@ class TestOutputFailures:
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: cannot write output: stdout is closed\n"
+
+    @pytest.mark.parametrize("argv", ["--help", "triple --help"])
+    def test_help_to_a_closed_stdout_is_reported(self, argv):
+        proc = subprocess.run(
+            ["sh", "-c", f'"$0" -m farey {argv} >&-', sys.executable],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write output: stdout is closed\n"
+
+    @pytest.mark.parametrize("argv, code", [("--json --cap 10 list 5", 2), ("triple 2 4", 1)])
+    def test_closed_stderr_keeps_diagnostics_off_stdout(self, argv, code):
+        # With fd 2 closed, sys.stderr is None: the diagnostic is dropped.
+        proc = subprocess.run(
+            ["sh", "-c", f'"$0" -m farey {argv} 2>&-', sys.executable],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stderr_keeps_the_exit_code(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "farey", "--cap", "10", "list", "5"],
+                stdout=subprocess.PIPE,
+                stderr=full,
+                text=True,
+                env=_src_env(),
+                timeout=60,
+            )
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+    @pytest.mark.parametrize(
+        "redirect",
+        [
+            pytest.param(
+                "2>/dev/full",
+                marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"),
+            ),
+            "2>&-",
+        ],
+    )
+    def test_interrupt_with_an_unwritable_stderr_exits_130(self, redirect):
+        proc = subprocess.Popen(
+            ["sh", "-c", f'exec "$0" -m farey verify 2000 {redirect}', sys.executable],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            start_new_session=True,
+            # As in TestInterrupt: an inherited SIG_IGN would keep Python's
+            # KeyboardInterrupt handler from being installed in the child.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            time.sleep(1.5)
+            assert proc.poll() is None
+            os.killpg(proc.pid, signal.SIGINT)
+            out, _ = proc.communicate(timeout=60)
+            assert (proc.returncode, out) == (130, "")
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
 
     @pytest.mark.parametrize(
         "error, message",
