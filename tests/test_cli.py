@@ -1408,8 +1408,9 @@ class TestInstalledEntryPoints:
         assert proc.stdout == "31/86 (l=3)\n"
 
     def test_python_dash_m_farey_cli_ends_without_a_traceback(self):
-        # Run as __main__, cli.py is a second copy of farey.cli; it must not
-        # try to serve the command with the first copy's error classes.
+        # Run as __main__, cli.py is a second copy beside the farey.cli that
+        # farey.usage imports, so it must not serve the command: its _run
+        # would not catch the UsageError that farey.usage raises.
         proc = subprocess.run(
             [sys.executable, "-m", "farey.cli", "triple", "5"],
             capture_output=True,
