@@ -112,7 +112,8 @@ for jobs in 1 2; do
         timeout 10 farey verify 10^100 --jobs "$jobs"
 done
 
-# Help, usage errors and write failures run the code a plain query never loads.
+# Help and usage errors go through argparse, which a plain query never
+# imports; then a closed or full stdout or stderr.
 check "--help prints the usage line" 0 $'usage: farey [-h] [--json] [--cap TERMS] command ...\n*' farey --help
 check_err "a missing argument is a usage error" 1 "usage error: the following arguments are required: order" \
     farey triple 5
@@ -121,7 +122,8 @@ check_err "a full stdout gets one error line" 1 "error: cannot write output: [Er
 check_err "--help to a closed stdout is an error" 1 "error: cannot write output: stdout is closed" sh -c 'farey --help >&-'
 check "a closed stderr keeps errors off stdout" 2 "" sh -c 'farey --json --cap 10 list 5 2>&-'
 check "a full stderr keeps the exit code"     2 ""  sh -c 'farey --cap 10 list 5 2>/dev/full'
-check_err "cli.py run as a script does nothing" 0 "" python3 -m farey.cli triple 5
+check_err "cli.py run as a script is refused" 1 'error: run the command line as `python -m farey` or `farey`' \
+    python3 -m farey.cli triple 5
 
 echo "e2e: $((${#seen[@]} - ${#failed[@]})) passed, ${#failed[@]} failed"
 [[ ${#failed[@]} == 0 ]]

@@ -9,9 +9,9 @@ error (or results that cannot be written), 2 enumeration cap exceeded,
 3 verification mismatch, 130 interrupted (SIGINT).  Results and --help text
 go to stdout through _emit alone; a closed stdout, or one a reader closes
 early (quietly), ends the command with 1.  Diagnostics go to stderr through
-`farey.usage._diagnose` alone, which drops a line stderr cannot take.  Help,
-usage errors and diagnostics load on demand from `farey.usage`, which a
-query that parses and succeeds never loads.
+_diagnose alone, which drops a line stderr cannot take.  Only an argv the
+command tables do not read exactly (see _plain), such as --help or a usage
+error, imports argparse: a query that parses and succeeds never does.
 
 With --json every command emits one canonical document: sorted keys, compact
 separators, and no floats anywhere (timings are integer nanoseconds, means
@@ -47,11 +47,10 @@ MAX_REPS = 10**6
 # every public name, from the package's one table of them, then the private
 # names the commands use.  farey.triples serves triple (every --method but
 # oracle) and chain but not next, prev or cf, farey.cf only the cf command
-# (which expands with fraction._euclid), farey.bulk holds list, verify and
-# bench, farey.usage the help, usage errors and diagnostics.  A name loads on
-# its first lookup as an attribute of this module (see __getattr__) and then
-# stays a plain global, so patching farey.cli.<name> reaches every command
-# that calls it.
+# (which expands with fraction._euclid), and farey.bulk holds list, verify
+# and bench.  A name loads on its first lookup as an attribute of this module
+# (see __getattr__) and then stays a plain global, so patching
+# farey.cli.<name> reaches every command that calls it.
 _LAZY = {
     **_SOURCE,
     "_chain_triple": "triples",
@@ -61,10 +60,6 @@ _LAZY = {
     "cmd_verify": "bulk",
     "cmd_bench": "bulk",
     "_bench_order": "bulk",
-    "build_parser": "usage",
-    "_report": "usage",
-    "_diagnose": "usage",
-    "_detach_stdout": "usage",
 }
 
 
@@ -310,6 +305,52 @@ _SHARED = {
 }
 
 
+def build_parser():
+    """The argparse parser of the command tables above."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage; 2 is reserved for the
+        # enumeration cap here, so route usage problems through an exception.
+        def error(self, message):
+            raise UsageError(message)
+
+        # Help text is output like any result.  argparse's own writer would
+        # ignore a failed write and fall back to stderr for a closed stdout.
+        def _print_message(self, message, file=None):
+            _emit(message, end="")
+
+    def token(parse):
+        # An argparse type whose DomainError is the usage error argparse reports.
+        def convert(text: str):
+            try:
+                return parse(text)
+            except DomainError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return convert
+
+    def add(parser, arguments, **overrides):
+        for name, settings in arguments.items():
+            wrapped = {"type": token(settings["type"])} if "type" in settings else {}
+            parser.add_argument(name, **{**settings, **wrapped, **overrides})
+
+    parser = _Parser(
+        prog="farey",
+        description="Exact Farey sequence queries: triples, neighbors,"
+        " continued fractions, verification, benchmarks.",
+    )
+    add(parser, _SHARED)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add(p, arguments)
+        # Subparsers copy their namespace over the root one: SUPPRESS keeps
+        # an unset shared flag from erasing a value given before the command.
+        add(p, _SHARED, default=argparse.SUPPRESS)
+    return parser
+
+
 def _plain(argv: list[str]) -> SimpleNamespace | None:
     """The namespace build_parser() gives ``argv`` if the tables above describe
     it exactly: shared flags, a command, then its positionals and flags in any
@@ -346,15 +387,55 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
+def _report(kind: str, message) -> None:
+    """Write ``kind: message`` to stderr, each word-initial repr (quotes kept)
+    or whitespace-free run of over 40 characters cut to its first and last 16,
+    then a message still over 200 characters cut to its first 100 and last 60."""
+    import re
+
+    def cut(match):
+        quote, run = match[1] or "", match[2] or match[0]
+        return match[0] if len(run) <= 40 else f"{quote}{run[:16]}...{run[-16:]}{quote}"
+
+    text = re.sub(r"""(?<!\S)(['"])((?:\\.|(?!\1)[^\\])*)\1|\S{41,}""", cut, str(message))
+    if len(text) > 200:
+        text = f"{text[:100]}...{text[-60:]}"
+    _diagnose(f"{kind}: {text}")
+
+
+def _diagnose(line: str) -> None:
+    """Write ``line`` to stderr, the one writer of diagnostics.  A line stderr
+    cannot take is dropped: with fd 2 closed (sys.stderr is None) it never
+    goes to stdout, and a failed write never changes the exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:
+            pass
+
+
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the flush at
+    interpreter exit has nothing left to fail on (the "Note on SIGPIPE" in
+    the signal module's documentation)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no stdout, or one that is not a file
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # With fd 1 closed, sys.stdout is None and print() drops every result.
     if sys.stdout is None:
         raise OutputError("stdout is closed")
     try:
-        args = _plain(argv) or _cli.build_parser().parse_args(argv)
+        args = _plain(argv) or build_parser().parse_args(argv)
     except UsageError as exc:
-        _cli._report("usage error", exc)
+        _report("usage error", exc)
         return EXIT_USAGE
     except SystemExit as exc:
         # --help has printed its text and asked to exit 0.
@@ -362,7 +443,7 @@ def _run(argv: list[str] | None) -> int:
     try:
         return getattr(_cli, f"cmd_{args.command}")(args)
     except (DomainError, CapExceededError) as exc:
-        _cli._report("error", exc)
+        _report("error", exc)
         return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_USAGE
 
 
@@ -374,12 +455,16 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise OutputError(exc) from exc
     except OutputError as exc:
-        _cli._detach_stdout()
+        _detach_stdout()
         if not isinstance(exc.__cause__, BrokenPipeError):
-            _cli._report("error", f"cannot write output: {exc}")
+            _report("error", f"cannot write output: {exc}")
         return EXIT_USAGE
     except KeyboardInterrupt:
         # A --jobs pool has been shut down on the way out of cmd_verify.
-        _cli._diagnose("interrupted")
+        _diagnose("interrupted")
         return EXIT_INTERRUPTED
     return code
+
+
+if __name__ == "__main__":
+    sys.exit("error: run the command line as `python -m farey` or `farey`")

@@ -7,6 +7,7 @@ console script, which setuptools builds from this checkout's
 runs against ``src/`` on ``PYTHONPATH``.
 """
 
+import ast
 import concurrent.futures
 import errno
 import hashlib
@@ -1409,8 +1410,8 @@ class TestInstalledEntryPoints:
 
     def test_python_dash_m_farey_cli_ends_without_a_traceback(self):
         # Run as __main__, cli.py is a second copy beside the farey.cli that
-        # farey.usage imports, so it must not serve the command: its _run
-        # would not catch the UsageError that farey.usage raises.
+        # farey.bulk imports, so it refuses to serve the command: the copy's
+        # main would not catch an OutputError raised by bulk's real farey.cli.
         proc = subprocess.run(
             [sys.executable, "-m", "farey.cli", "triple", "5"],
             capture_output=True,
@@ -1418,7 +1419,9 @@ class TestInstalledEntryPoints:
             env=_src_env(),
             timeout=60,
         )
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: run the command line as `python -m farey` or `farey`\n"
 
     def test_e2e_script(self, farey_exe):
         # scripts/e2e.sh pins every command's bytes and exit code through
@@ -1473,7 +1476,6 @@ _ON_DEMAND = (
     "farey.oracle",
     "farey.neighbors",
     "farey.bulk",
-    "farey.usage",
     "concurrent.futures",
     "json",
     "argparse",
@@ -1596,20 +1598,19 @@ class TestImportsOnDemand:
         assert proc.returncode == 1
         message, _, modules = proc.stderr.partition("\n")
         assert message == "usage error: the following arguments are required: order"
-        assert {"farey.usage", "argparse"} <= set(modules.split())
+        assert "argparse" in modules.split()
 
     def test_help_loads_argparse(self):
         proc = _probe_modules(["--help"])
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: farey [-h] [--json] [--cap TERMS] command ...\n")
-        assert {"farey.usage", "argparse"} <= set(proc.stderr.split())
+        assert "argparse" in proc.stderr.split()
 
     def test_a_domain_error_reports_without_argparse(self):
         proc = _probe_modules(["triple", "6", "10"])
         assert proc.returncode == 1
         message, _, modules = proc.stderr.partition("\n")
         assert message == "error: 6/10 not irreducible"
-        assert "farey.usage" in modules.split()
         assert "argparse" not in modules.split()
 
     def test_a_report_patched_on_cli_receives_the_error(self, monkeypatch):
@@ -1621,6 +1622,24 @@ class TestImportsOnDemand:
         monkeypatch.setattr(cli, "_report", spy)
         assert main(["triple", "6", "10"]) == 1
         assert lines == [("error", "6/10 not irreducible")]
+
+    def test_only_bulk_and_the_main_module_import_cli(self):
+        # bulk reaches back so that patching farey.cli.<name> reaches it; any
+        # other importer of farey.cli would be a cycle through the command line.
+        importers = set()
+        for path in (REPO_ROOT / "src" / "farey").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    package = "farey" if node.level else ""
+                    base = ".".join(filter(None, (package, node.module)))
+                    names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if "farey.cli" in names:
+                    importers.add(path.name)
+        assert importers == {"bulk.py", "__main__.py"}
 
     def test_bare_package_import_loads_no_submodule(self):
         probe = "import sys, farey; print(sorted(m for m in sys.modules if m.startswith('farey.')))"
