@@ -211,6 +211,93 @@ def test_bad_construction_raises(build):
         build()
 
 
+_F = Fraction
+_HUGE = 10**5000  # past str()'s digit limit: shown as "an int of 16610 bits"
+_REFUSALS = [
+    (
+        "center-form",
+        lambda: FareyTriple(_F(1, 8), _F(5, 39), _F(4, 31), 40),
+        "center 5/39 is not of the form n/40",
+    ),
+    (
+        "left-pair",
+        lambda: FareyTriple(_F(1, 7), _F(5, 39), _F(4, 31), 39),
+        "left pair 1/7, 5/39 is not unimodular",
+    ),
+    (
+        "right-pair",
+        lambda: FareyTriple(_F(1, 8), _F(5, 39), _F(3, 31), 39),
+        "right pair 5/39, 3/31 is not unimodular",
+    ),
+    (
+        # 1/4, 1/3, 1/2: both pairs unimodular, but 1/4 is not a term of F_3.
+        "outer-denominators",
+        lambda: FareyTriple(_F(1, 4), _F(1, 3), _F(1, 2), 3),
+        "outer denominators must be smaller than the order",
+    ),
+    (
+        "center-form-huge",
+        lambda: FareyTriple(_F(1, 8), _F(5, 39), _F(4, 31), _HUGE),
+        "center 5/39 is not of the form n/an int of 16610 bits",
+    ),
+    (
+        "left-pair-huge",
+        lambda: FareyTriple(_F(1, 2), _F(1, _HUGE), _F(1, 1), _HUGE),
+        "left pair 1/2, 1/an int of 16610 bits is not unimodular",
+    ),
+    (
+        "not-a-member",
+        lambda: NeighborResult(_F(9, 25), 20, _F(31, 86), 3, _F(4, 11)),
+        "9/25 is not a member of the sequence of order 20",
+    ),
+    (
+        "successor-determinant",
+        lambda: NeighborResult(_F(9, 25), 100, _F(31, 85), 3, _F(4, 11)),
+        "31/85 is not the successor of 9/25: their determinant is 10, not 1",
+    ),
+    (
+        "predecessor-determinant",
+        lambda: NeighborResult(_F(9, 25), 100, _F(1, 3), 0, _F(1, 3)),
+        "1/3 is not the predecessor of 9/25: their determinant is -2, not -1",
+    ),
+    (
+        "outside-the-order",
+        lambda: NeighborResult(_F(9, 25), 100, _F(40, 111), 4, _F(4, 11)),
+        "40/111 lies outside a sequence of order 100",
+    ),
+    (
+        "not-adjacent",
+        lambda: NeighborResult(_F(9, 25), 100, _F(22, 61), 2, _F(4, 11)),
+        "9/25 and 22/61 are not adjacent at order 100: a mediant still fits between them",
+    ),
+    (
+        "step-count",
+        lambda: NeighborResult(_F(9, 25), 100, _F(31, 86), 2, _F(4, 11)),
+        "step count must be 3, got 2",
+    ),
+    (
+        "base",
+        lambda: NeighborResult(_F(9, 25), 100, _F(31, 86), 3, _F(1, 3)),
+        "base of 9/25 must be 4/11",
+    ),
+    (
+        "not-a-member-huge",
+        lambda: NeighborResult(_F(1, _HUGE), 100, _F(1, 1), 0, _F(1, 1)),
+        "1/an int of 16610 bits is not a member of the sequence of order 100",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [case[1:] for case in _REFUSALS], ids=[case[0] for case in _REFUSALS]
+)
+def test_refusal_texts(build, message):
+    # Each check of the two record constructors refuses with exactly this text.
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def _fresh(x):
     return Fraction(x.num, x.den)
 
