@@ -12,7 +12,7 @@ O(1) terms whatever the order.  Queries, walks and bench rows go through
 import math
 import os
 from itertools import islice
-from time import perf_counter_ns
+from time import perf_counter_ns, sleep
 
 from . import cli
 from .errors import DomainError
@@ -94,6 +94,24 @@ def _verify_order(order: int, cap: int) -> tuple[int, str | None]:
     return centers, _failure(order, f"{report.failure} at index {report.index}", f"list {order}")
 
 
+def _worker_init(parent_pid: int) -> None:
+    """Start a verify worker: SIGINT kills it quietly, even between tasks, where
+    Python would print a KeyboardInterrupt traceback, and it exits once its parent
+    is gone, whatever killed the parent.  A forked worker holds both ends of the
+    call queue's pipe, so it would otherwise wait on that queue forever."""
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+    def watch():
+        while os.getppid() == parent_pid:
+            sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _verify_results(orders: range, cap: int, jobs: int):
     """Yield _verify_order for each order, in order.
 
@@ -105,16 +123,10 @@ def _verify_results(orders: range, cap: int, jobs: int):
         for order in orders:
             yield _verify_order(order, cap)
         return
-    import signal
     from collections import deque
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    # A worker that SIGINT reaches dies of it quietly, even between tasks,
-    # where Python would print a KeyboardInterrupt traceback; the parent
-    # reports the interrupt.
-    pool = ProcessPoolExecutor(
-        max_workers=jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL)
-    )
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init, initargs=(os.getpid(),))
     try:
         pending = deque()
         for order in orders:

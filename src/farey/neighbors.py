@@ -19,13 +19,13 @@ enumeration.
 
 A ``NeighborResult`` stores the query, the order and the answer only: as
 1 <= d <= b, the answer fixes l = (answer.den - 1) // b and base = answer -
-l*query, so ``steps`` and ``base`` are derived on access.  Both queries fill
-their record through ``_checked``, the check the public constructor runs (see
-``fraction.Record``), and hold the answer to its side: determinant +1 with the
-query for a successor, -1 for a predecessor, so an inverse of the wrong sign
-is refused there.  The constructor requires the determinant of the side the
-answer lies on, so it accepts a successor or a predecessor, and refuses a
-``steps`` or ``base`` other than the derived ones.
+l*query, so ``steps`` and ``base`` are derived on access.  Both queries pass
+their answer's ints to ``_checked``, the check the public constructor runs
+(see ``fraction.Record``), which builds the answer once they pass and holds
+it to its side: det +1 with the query for a successor, -1 for a
+predecessor, so an inverse of the wrong sign is refused.  The constructor
+wants the determinant of the side the answer lies on, so it accepts either
+neighbor, and refuses a ``steps`` or ``base`` other than the derived ones.
 """
 
 from .errors import DomainError, _frac, _shown
@@ -43,7 +43,9 @@ class NeighborResult(Record, derived=("steps", "base")):
     __slots__ = ("query", "order", "neighbor")
 
     def __new__(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction):
-        self = _checked(cls, query, order, neighbor, 1 if query < neighbor else -1)
+        side = 1 if query < neighbor else -1
+        query = Fraction(query.num, query.den)  # the record's own copy, checked
+        self = _checked(cls, query, order, neighbor.num, neighbor.den, side)
         if steps != self.steps:
             raise DomainError(f"step count must be {_shown(self.steps)}, got {_shown(steps)}")
         if base != self.base:
@@ -60,30 +62,32 @@ class NeighborResult(Record, derived=("steps", "base")):
         return _coprime(n.num - steps * q.num, n.den - steps * q.den)
 
 
-def _checked(cls, query: Fraction, order: int, neighbor: Fraction, side: int):
-    """Check an answer and return it as a ``cls`` record, filled through its draft.
-    ``side`` is the det(query, neighbor) required: 1 successor, -1 predecessor."""
+def _checked(cls, query: Fraction, order: int, num: int, den: int, side: int):
+    """Check the answer num/den to ``query`` and return both as a ``cls`` record,
+    filled through its draft.  ``side`` is the det(query, answer) required: 1
+    successor, -1 predecessor; it proves the answer coprime, so no gcd runs."""
     if order < query.den:
         member = f"a member of the sequence of order {_shown(order)}"
         raise DomainError(f"{_frac(query)} is not {member}")
-    det = neighbor.num * query.den - query.num * neighbor.den
+    det = num * query.den - query.num * den
     if det != side:
         which = "successor" if side == 1 else "predecessor"
         raise DomainError(
-            f"{_frac(neighbor)} is not the {which} of {_frac(query)}: "
+            f"{_frac(_coprime(num, den))} is not the {which} of {_frac(query)}: "
             f"their determinant is {_shown(det)}, not {side}"
         )
-    if neighbor.den > order:
-        raise DomainError(f"{_frac(neighbor)} lies outside a sequence of order {_shown(order)}")
-    if query.den + neighbor.den <= order:
+    if den > order:
+        outside = f"lies outside a sequence of order {_shown(order)}"
+        raise DomainError(f"{_frac(_coprime(num, den))} {outside}")
+    if query.den + den <= order:
         raise DomainError(
-            f"{_frac(query)} and {_frac(neighbor)} are not adjacent at order "
+            f"{_frac(query)} and {_frac(_coprime(num, den))} are not adjacent at order "
             f"{_shown(order)}: a mediant still fits between them"
         )
     self = _new(cls._draft)
     self.query = query
     self.order = order
-    self.neighbor = neighbor
+    self.neighbor = _coprime(num, den)
     self.__class__ = cls
     return self
 
@@ -104,11 +108,9 @@ def right_neighbor(x: Fraction, order: int) -> NeighborResult:
     a, b = x.num, x.den
     if a == b:
         raise DomainError("1/1 is the last term of every sequence")
-    # The neighbor has cross determinant 1 with a/b, so it is reduced; the
-    # record rejects it unless order >= b.
     c, d = _base_successor(a, b)
     steps = (order - d) // b
-    return _checked(NeighborResult, x, order, _coprime(steps * a + c, steps * b + d), 1)
+    return _checked(NeighborResult, x, order, steps * a + c, steps * b + d, 1)
 
 
 def left_neighbor(x: Fraction, order: int) -> NeighborResult:
@@ -122,4 +124,4 @@ def left_neighbor(x: Fraction, order: int) -> NeighborResult:
         raise DomainError("0/1 is the first term of every sequence")
     c, d = _base_successor(b - a, b)
     steps = (order - d) // b
-    return _checked(NeighborResult, x, order, _coprime(steps * a + d - c, steps * b + d), -1)
+    return _checked(NeighborResult, x, order, steps * a + d - c, steps * b + d, -1)

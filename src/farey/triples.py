@@ -34,11 +34,11 @@ triple off the continued fraction [0, q1, ..., qk, T] of the center: its
 neighbors are the convergents [0, q1, ..., qk] and [0, q1, ..., qk, T - 1]
 (``fraction._convergents``, which `farey.cf` shares to evaluate expansions).
 
-Each of the three routes builds one validated ``FareyTriple`` at the end.  That
-single check certifies the whole answer: two unimodular pairs around n/N
-with outer denominators below N single out the neighbors of n/N in F_N, so
-nothing is lost by skipping the intermediate triples.  ``lift_step`` and
-``base_triple`` remain the one-step, validated form of the chain.
+Each of the three routes passes its six ints to ``_checked``, which certifies
+them and only then builds the members.  That single check certifies the whole
+answer: two unimodular pairs around n/N with outer denominators below N single
+out the neighbors of n/N in F_N, so nothing is lost by skipping the intermediate
+triples.  ``lift_step`` and ``base_triple`` are the chain's one-step form.
 """
 
 from .errors import DomainError, _frac, _reducible, _shown
@@ -59,23 +59,26 @@ class FareyTriple(Record):
     __slots__ = ("left", "center", "right", "order")
 
     def __new__(cls, left: Fraction, center: Fraction, right: Fraction, order: int):
-        return _checked(cls, left, center, right, order)
+        if center.den != order:
+            raise DomainError(f"center {_frac(center)} is not of the form n/{_shown(order)}")
+        return _checked(cls, left.num, left.den, center.num, order, right.num, right.den)
 
 
-def _checked(cls, left: Fraction, center: Fraction, right: Fraction, order: int):
-    """Check a triple and return it as a ``cls`` record, filled through its draft."""
-    if center.den != order:
-        raise DomainError(f"center {_frac(center)} is not of the form n/{_shown(order)}")
-    if center.num * left.den - left.num * order != 1:
-        raise DomainError(f"left pair {_frac(left)}, {_frac(center)} is not unimodular")
-    if right.num * order - center.num * right.den != 1:
-        raise DomainError(f"right pair {_frac(center)}, {_frac(right)} is not unimodular")
-    if left.den >= order or right.den >= order:
+def _checked(cls, a: int, b: int, n: int, order: int, c: int, d: int):
+    """Check a/b, n/order, c/d and return them as a ``cls`` record, filled through
+    its draft; a determinant of 1 proves each pair coprime, so no member needs a gcd."""
+    if n * b - a * order != 1:
+        pair = f"{_frac(_coprime(a, b))}, {_frac(_coprime(n, order))}"
+        raise DomainError(f"left pair {pair} is not unimodular")
+    if c * order - n * d != 1:
+        pair = f"{_frac(_coprime(n, order))}, {_frac(_coprime(c, d))}"
+        raise DomainError(f"right pair {pair} is not unimodular")
+    if b >= order or d >= order:
         raise DomainError("outer denominators must be smaller than the order")
     self = _new(cls._draft)
-    self.left = left
-    self.center = center
-    self.right = right
+    self.left = _coprime(a, b)
+    self.center = _coprime(n, order)
+    self.right = _coprime(c, d)
     self.order = order
     self.__class__ = cls
     return self
@@ -118,13 +121,11 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
     """
     if quotient < 1:
         raise DomainError(f"quotient must be >= 1, got {_shown(quotient)}")
-
-    def send(f: Fraction) -> Fraction:
-        # gcd(b, q*b + a) = gcd(b, a) = 1, so the image is already reduced
-        return _coprime(f.den, quotient * f.den + f.num)
-
-    order = quotient * triple.center.den + triple.center.num
-    return FareyTriple(send(triple.right), send(triple.center), send(triple.left), order)
+    q, left, center, right = quotient, triple.left, triple.center, triple.right
+    return _checked(
+        FareyTriple, right.den, q * right.den + right.num, center.den,
+        q * center.den + center.num, left.den, q * left.den + left.num,
+    )
 
 
 def _check_range(n: int, order: int) -> None:
@@ -165,7 +166,7 @@ def base_triple(order: int) -> FareyTriple:
     numerator-1 center can have.
     """
     _check_range(1, order)  # gcd(1, order) is always 1
-    return FareyTriple(_coprime(0, 1), _coprime(1, order), _coprime(1, order - 1), order)
+    return _checked(FareyTriple, 0, 1, 1, order, 1, order - 1)
 
 
 def lift_chain(chain: ReductionChain) -> FareyTriple:
@@ -177,9 +178,7 @@ def lift_chain(chain: ReductionChain) -> FareyTriple:
     is needed.
     """
     a, b, c, d = _lift(chain.quotients, chain.terminal)
-    # Each image b/(q*b + a) of a reduced a/b is reduced, and so is the sum
-    # of a unimodular pair.
-    return _checked(FareyTriple, _coprime(a, b), _coprime(a + c, b + d), _coprime(c, d), b + d)
+    return _checked(FareyTriple, a, b, a + c, b + d, c, d)
 
 
 def _chain_triple(n: int, order: int) -> FareyTriple:
@@ -187,7 +186,7 @@ def _chain_triple(n: int, order: int) -> FareyTriple:
     start from the base triple, lift; the reduction refuses a reducible n/order."""
     _check_range(n, order)
     a, b, c, d = _lift(*_euclid(n, order))
-    return _checked(FareyTriple, _coprime(a, b), _coprime(n, order), _coprime(c, d), order)
+    return _checked(FareyTriple, a, b, n, order, c, d)
 
 
 def triple_via_cf(center: Fraction) -> FareyTriple:
@@ -200,19 +199,15 @@ def triple_via_cf(center: Fraction) -> FareyTriple:
 
     One pass of the convergent recurrence over the quotients gives p_k/q_k
     (the truncated form) and p_(k-1)/q_(k-1); the lowered form is the next
-    convergent, ((T-1)*p_k + p_(k-1)) / ((T-1)*q_k + q_(k-1)).  Consecutive
-    convergents are coprime, so neither value needs reducing.
+    convergent, ((T-1)*p_k + p_(k-1)) / ((T-1)*q_k + q_(k-1)).
     """
     quotients, terminal = _chain_of(center)
     p_prev, p, q_prev, q = _convergents(0, quotients)
-    truncated = _coprime(p, q)
     t = terminal - 1
-    lowered = _coprime(t * p + p_prev, t * q + q_prev)
+    lowered = t * p + p_prev, t * q + q_prev
     if len(quotients) % 2 == 0:
-        left, right = truncated, lowered
-    else:
-        left, right = lowered, truncated
-    return _checked(FareyTriple, left, center, right, center.den)
+        return _checked(FareyTriple, p, q, center.num, center.den, *lowered)
+    return _checked(FareyTriple, *lowered, center.num, center.den, p, q)
 
 
 def triple(n: int, order: int) -> FareyTriple:
@@ -227,8 +222,4 @@ def triple(n: int, order: int) -> FareyTriple:
         c, d = _base_successor(n, order)
     except ValueError:
         raise _reducible(n, order) from None
-    # Both outer pairs have cross determinant 1 with n/order, so all three
-    # terms are reduced.
-    return _checked(
-        FareyTriple, _coprime(n - c, order - d), _coprime(n, order), _coprime(c, d), order
-    )
+    return _checked(FareyTriple, n - c, order - d, n, order, c, d)

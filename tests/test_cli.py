@@ -1868,3 +1868,43 @@ class TestInterrupt:
             except ProcessLookupError:
                 pass
             proc.communicate()
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+class TestParentKilled:
+    """A signal to the parent alone, as a supervisor that signals the main
+    pid sends it, ends `verify --jobs` without leaving a worker behind."""
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+    def test_workers_follow_their_parent(self, sig):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "farey", "verify", "400", "--jobs", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            start_new_session=True,
+        )
+        group = proc.pid
+        try:
+            time.sleep(1.5)
+            assert proc.poll() is None
+            os.kill(proc.pid, sig)
+            # Reaped here, the parent leaves the group to its workers alone.
+            assert proc.wait(timeout=5) == -sig
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(group, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived its parent"
+                time.sleep(0.05)
+            # No worker holds the pipes any more, so both reach EOF.
+            proc.communicate(timeout=5)
+        finally:
+            try:
+                os.killpg(group, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()

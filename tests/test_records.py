@@ -400,6 +400,37 @@ def test_a_list_builds_the_tuple_built_record(items, build, twin):
     assert built == twin()
 
 
+def test_a_record_keeps_its_own_fractions():
+    # The constructors build each member from the ints of the fractions
+    # passed in, so rewriting one of those later reaches no record.
+    left, center, right = Fraction(1, 8), Fraction(5, 39), Fraction(4, 31)
+    query, neighbor, base = Fraction(9, 25), Fraction(31, 86), Fraction(4, 11)
+    y = Fraction(5, 39)
+    built = [
+        (FareyTriple(left, center, right, 39), triple(5, 39)),
+        (triple_via_cf(y), triple(5, 39)),
+        (NeighborResult(query, 100, neighbor, 3, base), right_neighbor(Fraction(9, 25), 100)),
+    ]
+    for f in (left, center, right, query, neighbor, base, y):
+        f.num = 3
+    for record, twin in built:
+        _assert_same_record(record, twin)
+
+
+class _Tagged(Fraction):
+    __slots__ = ()
+
+
+def test_a_fraction_subclass_comes_back_as_a_fraction():
+    t = FareyTriple(_Tagged(1, 8), _Tagged(5, 39), _Tagged(4, 31), 39)
+    r = NeighborResult(_Tagged(9, 25), 100, _Tagged(31, 86), 3, _Tagged(4, 11))
+    _assert_same_record(t, triple(5, 39))
+    _assert_same_record(r, right_neighbor(Fraction(9, 25), 100))
+    via = triple_via_cf(_Tagged(5, 39))
+    members = (t.left, t.center, t.right, r.query, r.neighbor, r.base, via.center)
+    assert all(type(f) is Fraction for f in members)
+
+
 def test_cli_import_loads_neither_dataclasses_nor_json():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -16,9 +16,11 @@ from farey import (
     cf_of_chain,
     cross_det,
     lift_chain,
+    left_neighbor,
     lift_step,
     mediant,
     reduction_chain,
+    right_neighbor,
     triple,
     triple_by_scan,
     triple_via_cf,
@@ -456,6 +458,15 @@ class TestIrreducibility:
 
     def test_no_route_runs_a_gcd(self, monkeypatch):
         expected = (_f("1/8"), _f("5/39"), _f("4/31"))  # Fraction() runs a gcd
+        x, chain, base = _f("9/25"), reduction_chain(_f("5/39")), triple(5, 39)
+        steps = [
+            lambda: right_neighbor(x, 100),
+            lambda: left_neighbor(x, 100),
+            lambda: lift_step(base, 2),
+            lambda: base_triple(39),
+            lambda: lift_chain(chain),
+        ]
+        want = [step() for step in steps]
 
         def no_gcd(a, b):
             raise AssertionError("gcd called")
@@ -468,6 +479,7 @@ class TestIrreducibility:
             with pytest.raises(DomainError) as err:
                 cli._triple_by_method(2, 4, method, None)
             assert str(err.value) == "2/4 not irreducible"
+        assert [step() for step in steps] == want
 
     def test_ints_past_the_digit_limit_get_a_domain_error(self):
         # str() refuses an int of more than 4300 digits; the message shows
