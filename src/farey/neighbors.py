@@ -37,14 +37,15 @@ class NeighborResult(Record, derived=("steps", "base")):
 
     ``neighbor`` sits immediately beside ``query`` in the Farey sequence of
     ``order``; ``steps`` counts the mediant rungs climbed above ``base``,
-    the adjacent term in the smallest sequence containing the query.
+    the adjacent term in the smallest sequence containing the query.  The
+    record holds its own copies of the ``query`` and ``neighbor`` passed in.
     """
 
     __slots__ = ("query", "order", "neighbor")
 
     def __new__(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction):
         side = 1 if query < neighbor else -1
-        query = Fraction(query.num, query.den)  # the record's own copy, checked
+        query = Fraction(query.num, query.den)
         self = _checked(cls, query, order, neighbor.num, neighbor.den, side)
         if steps != self.steps:
             raise DomainError(f"step count must be {_shown(self.steps)}, got {_shown(steps)}")
@@ -63,9 +64,9 @@ class NeighborResult(Record, derived=("steps", "base")):
 
 
 def _checked(cls, query: Fraction, order: int, num: int, den: int, side: int):
-    """Check the answer num/den to ``query`` and return both as a ``cls`` record,
-    filled through its draft.  ``side`` is the det(query, answer) required: 1
-    successor, -1 predecessor; it proves the answer coprime, so no gcd runs."""
+    """Check the answer num/den and return it with ``query``, stored as given, as
+    a ``cls`` record filled through its draft.  ``side`` is the det(query, answer)
+    required: 1 successor, -1 predecessor; it proves the answer coprime (no gcd)."""
     if order < query.den:
         member = f"a member of the sequence of order {_shown(order)}"
         raise DomainError(f"{_frac(query)} is not {member}")

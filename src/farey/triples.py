@@ -34,8 +34,8 @@ triple off the continued fraction [0, q1, ..., qk, T] of the center: its
 neighbors are the convergents [0, q1, ..., qk] and [0, q1, ..., qk, T - 1]
 (``fraction._convergents``, which `farey.cf` shares to evaluate expansions).
 
-Each of the three routes passes its six ints to ``_checked``, which certifies
-them and only then builds the members.  That single check certifies the whole
+Each of the three routes passes its six ints to ``_checked``, which builds the
+members only once the ints pass.  That single check certifies the whole
 answer: two unimodular pairs around n/N with outer denominators below N single
 out the neighbors of n/N in F_N, so nothing is lost by skipping the intermediate
 triples.  ``lift_step`` and ``base_triple`` are the chain's one-step form.
@@ -52,8 +52,8 @@ class FareyTriple(Record):
     Construction checks the defining invariants: the center has denominator
     ``order``, both adjacent pairs are unimodular, and the outer
     denominators stay below ``order``.  These force order >= 1, a center
-    numerator >= 1, the center to be the mediant of the outer terms, and
-    the outer numerators/denominators to sum to the center's.
+    numerator >= 1 and the center to be the mediant of the outer terms.  The
+    record holds its own copies of the three fractions passed in.
     """
 
     __slots__ = ("left", "center", "right", "order")
@@ -117,15 +117,15 @@ def lift_step(triple: FareyTriple, quotient: int) -> FareyTriple:
     Each element a/b goes to b/(quotient*b + a); the map reverses order, so
     the old right element becomes the new left.  Unimodularity of both
     pairs is preserved exactly, which is what makes the lifted triple a run
-    of consecutive terms again.
+    of consecutive terms again, and the map is linear, so the new center is
+    the mediant of the new outer terms.
     """
     if quotient < 1:
         raise DomainError(f"quotient must be >= 1, got {_shown(quotient)}")
-    q, left, center, right = quotient, triple.left, triple.center, triple.right
-    return _checked(
-        FareyTriple, right.den, q * right.den + right.num, center.den,
-        q * center.den + center.num, left.den, q * left.den + left.num,
-    )
+    left, right = triple.left, triple.right
+    a, b = right.den, quotient * right.den + right.num
+    c, d = left.den, quotient * left.den + left.num
+    return _checked(FareyTriple, a, b, a + c, b + d, c, d)
 
 
 def _check_range(n: int, order: int) -> None:
