@@ -15,8 +15,8 @@ from farey import (
     cf_evaluate,
     cf_of_chain,
     cross_det,
-    lift_chain,
     left_neighbor,
+    lift_chain,
     lift_step,
     mediant,
     reduction_chain,
