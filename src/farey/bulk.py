@@ -12,7 +12,7 @@ O(1) terms whatever the order.  Queries, walks and bench rows go through
 import math
 import os
 from itertools import islice
-from time import perf_counter_ns, sleep
+from time import perf_counter_ns
 
 from . import cli
 from .errors import DomainError
@@ -94,19 +94,19 @@ def _verify_order(order: int, cap: int) -> tuple[int, str | None]:
     return centers, _failure(order, f"{report.failure} at index {report.index}", f"list {order}")
 
 
-def _worker_init(parent_pid: int) -> None:
-    """Start a verify worker: SIGINT kills it quietly, even between tasks, where
-    Python would print a KeyboardInterrupt traceback, and it exits once its parent
-    is gone, whatever killed the parent.  A forked worker holds both ends of the
-    call queue's pipe, so it would otherwise wait on that queue forever."""
+def _worker_init() -> None:
+    """Start a verify worker: SIGINT kills it quietly, even between tasks, and it
+    exits once the main process is gone, under any start method, by waiting on the
+    parent sentinel (a pipe the main process and later-forked workers hold open)."""
+    import multiprocessing
     import signal
     import threading
 
     signal.signal(signal.SIGINT, signal.SIG_DFL)
+    parent = multiprocessing.parent_process()
 
     def watch():
-        while os.getppid() == parent_pid:
-            sleep(0.25)
+        parent.join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -126,7 +126,7 @@ def _verify_results(orders: range, cap: int, jobs: int):
     from collections import deque
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init, initargs=(os.getpid(),))
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
     try:
         pending = deque()
         for order in orders:

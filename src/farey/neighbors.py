@@ -21,11 +21,11 @@ A ``NeighborResult`` stores the query, the order and the answer only: as
 1 <= d <= b, the answer fixes l = (answer.den - 1) // b and base = answer -
 l*query, so ``steps`` and ``base`` are derived on access.  Both queries pass
 their answer's ints to ``_checked``, the check the public constructor runs
-(see ``fraction.Record``), which builds the answer once they pass and holds
-it to its side: det +1 with the query for a successor, -1 for a
-predecessor, so an inverse of the wrong sign is refused.  The constructor
-wants the determinant of the side the answer lies on, so it accepts either
-neighbor, and refuses a ``steps`` or ``base`` other than the derived ones.
+(see ``fraction.Record``), which builds the answer and holds it to its side:
+det +1 with the query for a successor, -1 for a predecessor, so an inverse of
+the wrong sign is refused.  The constructor wants the determinant of the side
+the answer lies on, so it accepts either neighbor, and refuses a ``steps`` or
+``base`` other than the derived ones.
 """
 
 from .errors import DomainError, _frac, _shown
@@ -45,7 +45,7 @@ class NeighborResult(Record, derived=("steps", "base")):
 
     def __new__(cls, query: Fraction, order: int, neighbor: Fraction, steps: int, base: Fraction):
         side = 1 if query < neighbor else -1
-        query = Fraction(query.num, query.den)
+        query = _coprime(query.num, query.den)
         self = _checked(cls, query, order, neighbor.num, neighbor.den, side)
         if steps != self.steps:
             raise DomainError(f"step count must be {_shown(self.steps)}, got {_shown(steps)}")
@@ -67,6 +67,7 @@ def _checked(cls, query: Fraction, order: int, num: int, den: int, side: int):
     """Check the answer num/den and return it with ``query``, stored as given, as
     a ``cls`` record filled through its draft.  ``side`` is the det(query, answer)
     required: 1 successor, -1 predecessor; it proves the answer coprime (no gcd)."""
+    neighbor = _coprime(num, den)
     if order < query.den:
         member = f"a member of the sequence of order {_shown(order)}"
         raise DomainError(f"{_frac(query)} is not {member}")
@@ -74,21 +75,20 @@ def _checked(cls, query: Fraction, order: int, num: int, den: int, side: int):
     if det != side:
         which = "successor" if side == 1 else "predecessor"
         raise DomainError(
-            f"{_frac(_coprime(num, den))} is not the {which} of {_frac(query)}: "
+            f"{_frac(neighbor)} is not the {which} of {_frac(query)}: "
             f"their determinant is {_shown(det)}, not {side}"
         )
     if den > order:
-        outside = f"lies outside a sequence of order {_shown(order)}"
-        raise DomainError(f"{_frac(_coprime(num, den))} {outside}")
+        raise DomainError(f"{_frac(neighbor)} lies outside a sequence of order {_shown(order)}")
     if query.den + den <= order:
         raise DomainError(
-            f"{_frac(query)} and {_frac(_coprime(num, den))} are not adjacent at order "
+            f"{_frac(query)} and {_frac(neighbor)} are not adjacent at order "
             f"{_shown(order)}: a mediant still fits between them"
         )
     self = _new(cls._draft)
     self.query = query
     self.order = order
-    self.neighbor = _coprime(num, den)
+    self.neighbor = neighbor
     self.__class__ = cls
     return self
 

@@ -34,10 +34,10 @@ triple off the continued fraction [0, q1, ..., qk, T] of the center: its
 neighbors are the convergents [0, q1, ..., qk] and [0, q1, ..., qk, T - 1]
 (``fraction._convergents``, which `farey.cf` shares to evaluate expansions).
 
-Each of the three routes passes its six ints to ``_checked``, which builds the
-members only once the ints pass.  That single check certifies the whole
-answer: two unimodular pairs around n/N with outer denominators below N single
-out the neighbors of n/N in F_N, so nothing is lost by skipping the intermediate
+Each of the three routes passes its six ints to ``_checked``, which checks them
+and builds the members.  That single check certifies the whole answer: two
+unimodular pairs around n/N with outer denominators below N single out the
+neighbors of n/N in F_N, so nothing is lost by skipping the intermediate
 triples.  ``lift_step`` and ``base_triple`` are the chain's one-step form.
 """
 
@@ -67,18 +67,15 @@ class FareyTriple(Record):
 def _checked(cls, a: int, b: int, n: int, order: int, c: int, d: int):
     """Check a/b, n/order, c/d and return them as a ``cls`` record, filled through
     its draft; a determinant of 1 proves each pair coprime, so no member needs a gcd."""
+    left, center, right = _coprime(a, b), _coprime(n, order), _coprime(c, d)
     if n * b - a * order != 1:
-        pair = f"{_frac(_coprime(a, b))}, {_frac(_coprime(n, order))}"
-        raise DomainError(f"left pair {pair} is not unimodular")
+        raise DomainError(f"left pair {_frac(left)}, {_frac(center)} is not unimodular")
     if c * order - n * d != 1:
-        pair = f"{_frac(_coprime(n, order))}, {_frac(_coprime(c, d))}"
-        raise DomainError(f"right pair {pair} is not unimodular")
+        raise DomainError(f"right pair {_frac(center)}, {_frac(right)} is not unimodular")
     if b >= order or d >= order:
         raise DomainError("outer denominators must be smaller than the order")
     self = _new(cls._draft)
-    self.left = _coprime(a, b)
-    self.center = _coprime(n, order)
-    self.right = _coprime(c, d)
+    self.left, self.center, self.right = left, center, right
     self.order = order
     self.__class__ = cls
     return self

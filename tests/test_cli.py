@@ -1873,12 +1873,22 @@ class TestInterrupt:
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
 class TestParentKilled:
     """A signal to the parent alone, as a supervisor that signals the main
-    pid sends it, ends `verify --jobs` without leaving a worker behind."""
+    pid sends it, ends `verify --jobs` without leaving a worker behind, under
+    the platform's default start method and under the two others."""
 
-    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
-    def test_workers_follow_their_parent(self, sig):
+    @pytest.mark.parametrize(
+        "sig, method",
+        [(signal.SIGTERM, None), (signal.SIGKILL, None), (signal.SIGKILL, "spawn"),
+         (signal.SIGKILL, "forkserver")],
+        ids=["SIGTERM", "SIGKILL", "SIGKILL-spawn", "SIGKILL-forkserver"],
+    )
+    def test_workers_follow_their_parent(self, sig, method):
+        run = ["-m", "farey"]
+        if method is not None:
+            start = f"import multiprocessing as m; m.set_start_method({method!r}); "
+            run = ["-c", start + "from farey.cli import main; raise SystemExit(main())"]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "farey", "verify", "400", "--jobs", "2"],
+            [sys.executable, *run, "verify", "400", "--jobs", "2"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
