@@ -117,6 +117,8 @@ done
 check "--help prints the usage line" 0 $'usage: farey [-h] [--json] [--cap TERMS] command ...\n*' farey --help
 check_err "a missing argument is a usage error" 1 "usage error: the following arguments are required: order" \
     farey triple 5
+check_err "a negative fraction is a value, not a flag" 1 \
+    "usage error: argument fraction: numerator must be >= 0, got -1" farey cf -1/2
 check_err "a full stdout gets one error line" 1 "error: cannot write output: [Errno 28] No space left on device" \
     sh -c 'farey triple 5 39 >/dev/full'
 check_err "--help to a closed stdout is an error" 1 "error: cannot write output: stdout is closed" sh -c 'farey --help >&-'

@@ -37,8 +37,7 @@ _EXPORTS = {
         "cf_expand",
         "cf_of_chain",
     ),
-    "errors": ("CapExceededError", "DEFAULT_CAP", "DomainError"),
-    "fraction": ("Fraction", "cross_det", "mediant"),
+    "fraction": ("CapExceededError", "DEFAULT_CAP", "DomainError", "Fraction", "cross_det", "mediant"),
     "neighbors": ("NeighborResult", "base_right_neighbor", "left_neighbor", "right_neighbor"),
     "oracle": (
         "FareySequence",

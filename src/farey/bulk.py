@@ -15,8 +15,7 @@ from itertools import islice
 from time import perf_counter_ns
 
 from . import cli
-from .errors import DomainError
-from .fraction import Fraction, _euclid
+from .fraction import DomainError, Fraction, _euclid
 from .oracle import PropertyReport, _certified, _farey_length
 
 

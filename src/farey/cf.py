@@ -14,8 +14,7 @@ only the convergent recurrence (``fraction._convergents``), so this module
 loads no other construction.
 """
 
-from .errors import DomainError, _shown
-from .fraction import Fraction, Record, _convergents, _euclid, _new
+from .fraction import DomainError, Fraction, Record, _convergents, _euclid, _new, _shown
 
 
 class ContinuedFraction(Record):

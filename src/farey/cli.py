@@ -28,8 +28,7 @@ import sys
 from types import SimpleNamespace
 
 from . import _SOURCE, _load
-from .errors import DEFAULT_CAP, CapExceededError, DomainError
-from .fraction import Fraction
+from .fraction import DEFAULT_CAP, CapExceededError, DomainError, Fraction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -308,8 +307,15 @@ _SHARED = {
 def build_parser():
     """The argparse parser of the command tables above."""
     import argparse
+    import re
 
     class _Parser(argparse.ArgumentParser):
+        # argparse takes "-1/2" or "-0/1" for an unknown flag; no farey flag
+        # starts with a digit, so any "-<digit>" token is a value here.
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-\d")
+
         # argparse exits with status 2 on bad usage; 2 is reserved for the
         # enumeration cap here, so route usage problems through an exception.
         def error(self, message):

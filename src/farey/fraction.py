@@ -1,18 +1,47 @@
-"""Reduced fractions on the unit interval, with exact integer arithmetic.
+"""The package's core, which every farey process loads.
+
+It holds the exception types and the enumeration cap, ``Fraction``, ``Record``
+(the slotted base of the result types) and the plain-int kernels
+``_base_successor`` (the base neighbor), ``_euclid``/``_chain_of`` (the
+quotient chain) and ``_convergents`` (the continued-fraction recurrence).
 
 Every value in this package is an irreducible fraction between 0/1 and 1/1.
 Python's unbounded integers keep all products exact, so there is no overflow
 path to guard; results are either correct or a precondition error.
-
-It also holds what every query loads with it: ``Record``, the slotted base
-of the result types, and the plain-int kernels ``_base_successor`` (the base
-neighbor), ``_euclid``/``_chain_of`` (the quotient chain) and ``_convergents``
-(the continued-fraction recurrence).
 """
 
 from math import gcd
 
-from .errors import DomainError, _frac, _reducible, _shown
+# The most terms an enumeration builds unless told otherwise.  It lives here,
+# beside CapExceededError, so the command line can state it without loading
+# the oracle.
+DEFAULT_CAP = 10_000_000
+
+
+class DomainError(ValueError):
+    """An argument violates an operation's precondition."""
+
+
+class CapExceededError(RuntimeError):
+    """An enumeration would produce more terms than the configured cap."""
+
+
+def _shown(k: int) -> str:
+    """str(k), or k's sign and bit length once past the int-to-str digit limit."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"{'a negative' if k < 0 else 'an'} int of {k.bit_length()} bits"
+
+
+def _frac(f) -> str:
+    """str(f) for a Fraction f, with each part rendered by _shown."""
+    return f"{_shown(f.num)}/{_shown(f.den)}"
+
+
+def _reducible(n: int, order: int) -> DomainError:
+    return DomainError(f"{_shown(n)}/{_shown(order)} not irreducible")
+
 
 _new = object.__new__
 

@@ -28,8 +28,7 @@ the answer lies on, so it accepts either neighbor, and refuses a ``steps`` or
 ``base`` other than the derived ones.
 """
 
-from .errors import DomainError, _frac, _shown
-from .fraction import Fraction, Record, _base_successor, _coprime, _new
+from .fraction import DomainError, Fraction, Record, _base_successor, _coprime, _frac, _new, _shown
 
 
 class NeighborResult(Record, derived=("steps", "base")):

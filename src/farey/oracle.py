@@ -8,8 +8,9 @@ Only `enumerate_farey` keeps the terms; the rest walk them once, after the
 cap is checked against the exact length |F_N|.
 """
 
-from .errors import DEFAULT_CAP, CapExceededError, DomainError, _frac, _reducible, _shown
-from .fraction import Fraction, Record, _new
+from .fraction import (
+    DEFAULT_CAP, CapExceededError, DomainError, Fraction, Record, _frac, _new, _reducible, _shown,
+)
 
 
 class FareySequence(Record):

@@ -41,8 +41,10 @@ neighbors of n/N in F_N, so nothing is lost by skipping the intermediate
 triples.  ``lift_step`` and ``base_triple`` are the chain's one-step form.
 """
 
-from .errors import DomainError, _frac, _reducible, _shown
-from .fraction import Fraction, Record, _base_successor, _chain_of, _convergents, _coprime, _euclid, _new
+from .fraction import (
+    DomainError, Fraction, Record, _base_successor, _chain_of, _convergents, _coprime, _euclid,
+    _frac, _new, _reducible, _shown,
+)
 
 
 class FareyTriple(Record):

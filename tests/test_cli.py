@@ -245,6 +245,11 @@ class TestExpansionCommands:
         code, out, _ = run_cli(capsys, "cf", "0/1")
         assert (code, out) == (0, "[0]\n")
 
+    def test_cf_negative_zero(self, capsys):
+        # "-0/1" is the fraction 0/1, not a flag, as "-0" is the order 0.
+        code, out, _ = run_cli(capsys, "cf", "-0/1")
+        assert (code, out) == (0, "[0]\n")
+
     def test_cf_one(self, capsys):
         code, out, _ = run_cli(capsys, "cf", "1/1")
         assert (code, out) == (0, "[1]\n")
@@ -709,6 +714,13 @@ class TestExitCodesAndCap:
         assert run_cli(capsys, "frobnicate", "1")[0] == 1
         assert run_cli(capsys, "list", "ten")[0] == 1
         assert run_cli(capsys, "list", "2^-3")[0] == 1
+
+    @pytest.mark.parametrize("argv", [("cf", "-1/2"), ("next", "-1/2", "5")], ids=" ".join)
+    def test_a_negative_fraction_is_refused_as_itself(self, capsys, argv):
+        # argparse alone takes "-1/2" for an unknown flag and blames the next token.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument fraction: numerator must be >= 0, got -1\n"
 
     def test_cap_boundary_via_flag(self, capsys):
         assert run_cli(capsys, "--cap", "11", "list", "5")[0] == 0
@@ -1436,7 +1448,7 @@ class TestInstalledEntryPoints:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout
-        assert proc.stdout.splitlines()[-1] == "e2e: 42 passed, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "e2e: 43 passed, 0 failed"
 
     def test_console_script_exit_codes(self, farey_exe):
         proc = subprocess.run(
@@ -1527,13 +1539,28 @@ class TestImportsOnDemand:
         assert "farey.cli" in modules
         assert sorted(m for m in _ON_DEMAND if m in modules) == sorted(loaded)
 
-    def test_a_neighbor_query_loads_exactly_its_modules(self):
-        proc = _probe_modules(["next", "9/25", "100"])
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            pytest.param(argv, route, id=" ".join(argv))
+            for argv, route in (
+                (["triple", "5", "39"], "farey.triples"),
+                (["chain", "5/39"], "farey.triples"),
+                (["next", "9/25", "100"], "farey.neighbors"),
+                (["prev", "9/25", "25"], "farey.neighbors"),
+                (["cf", "9/25"], "farey.cf"),
+            )
+        ],
+    )
+    def test_a_one_shot_loads_exactly_its_modules(self, argv, route):
+        # Every one-shot loads the package, the command line, the core and
+        # its own route module, and nothing else of farey.
+        proc = _probe_modules(argv)
         assert proc.returncode == 0, proc.stderr
         loaded = sorted(m for m in proc.stderr.split() if m.split(".")[0] == "farey")
-        assert loaded == ["farey", "farey.cli", "farey.errors", "farey.fraction", "farey.neighbors"]
+        assert loaded == sorted(["farey", "farey.cli", "farey.fraction", route])
 
-    def test_the_error_type_loads_errors_alone(self):
+    def test_the_error_type_loads_the_core_alone(self):
         probe = (
             "import sys\n"
             "from farey import DomainError\n"
@@ -1542,7 +1569,7 @@ class TestImportsOnDemand:
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), check=True
         )
-        assert proc.stdout == "['farey.errors']\n"
+        assert proc.stdout == "['farey.fraction']\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -16,7 +16,7 @@ def test_every_public_name_is_the_object_its_submodule_defines():
     for name in farey.__all__:
         value = getattr(farey, name)
         # DEFAULT_CAP, the one public constant, carries no __module__.
-        home = getattr(value, "__module__", "farey.errors")
+        home = getattr(value, "__module__", "farey.fraction")
         assert home.startswith("farey."), name
         assert getattr(importlib.import_module(home), name) is value, name
 
