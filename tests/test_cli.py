@@ -10,10 +10,12 @@ runs against ``src/`` on ``PYTHONPATH``.
 import ast
 import concurrent.futures
 import errno
+import gc
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import statistics
@@ -1419,6 +1421,57 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "31/86 (l=3)\n"
+
+    def test_run_freezes_the_heap_and_atexit_still_runs(self):
+        # run() freezes the heap so that the interpreter's exit skips its
+        # collection sweep; a handler registered before the command still runs.
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "runpy.run_module('farey', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "triple", "5", "39"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/8 5/39 4/31\n", "True\n")
+
+    def test_a_profiler_around_python_dash_m_still_reports(self):
+        # No entry point ends the process before a wrapper's own code runs:
+        # cProfile prints its table after farey has answered.
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "farey", "triple", "5", "39"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("1/8 5/39 4/31\n")
+        assert " function calls " in proc.stdout
+
+    def test_main_in_process_leaves_the_collector_as_it_was(self, capsys):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert main(["triple", "5", "39"]) == 0
+        assert capsys.readouterr().out == "1/8 5/39 4/31\n"
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_the_console_script_is_the_shared_entry_point(self):
+        # Read with a regex: tomllib is missing on the 3.10.7 floor.
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        script = re.search(r'^farey = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+        assert script.groups() == ("farey.__main__", "run")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import farey.__main__ as m; print(callable(m.run))"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "True\n")
 
     def test_python_dash_m_farey_cli_ends_without_a_traceback(self):
         # Run as __main__, cli.py is a second copy beside the farey.cli that
